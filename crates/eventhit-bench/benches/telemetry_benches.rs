@@ -70,8 +70,8 @@ fn bench_push_frame_overhead(c: &mut Criterion) {
         b.iter(|| black_box(drive(&mut off, &features)))
     });
 
-    // Live wall-clock recorder: mutex + BTreeMap counter bumps per frame,
-    // histogram observe + gauge per decision.
+    // Live wall-clock recorder: one atomic counter add per frame through
+    // a resolved handle; histogram observes and a gauge per decision.
     let run = quick_run();
     let features = run.features.clone();
     let mut on = predictor(run);
@@ -92,6 +92,15 @@ fn bench_recorder_ops(c: &mut Criterion) {
     });
     group.bench_function("hist_observe", |b| {
         b.iter(|| tel.observe(black_box("bench.hist"), black_box(0.0125)))
+    });
+    // The same two operations through handles resolved once.
+    let counter = tel.counter("bench.counter", "");
+    group.bench_function("counter_handle_add", |b| {
+        b.iter(|| counter.add(black_box(1)))
+    });
+    let hist = tel.histogram("bench.hist", "");
+    group.bench_function("hist_handle_observe", |b| {
+        b.iter(|| hist.observe(black_box(0.0125)))
     });
     // Fresh recorder per iteration so the trace never hits the span cap
     // (a capped recorder hands out inert guards, which would understate

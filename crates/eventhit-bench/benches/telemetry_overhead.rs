@@ -2,14 +2,16 @@
 //! predictor's hot path with (a) no recorder, (b) a disabled recorder,
 //! and (c) a live wall-clock recorder with a trace id attached to every
 //! batch — the exact shape the traced serving path (`SubmitTraced`)
-//! runs. Results are written to `BENCH_telemetry.json` at the workspace
-//! root.
+//! runs. Results are written to `--out PATH` (default
+//! `BENCH_telemetry.json` in the current directory; `cargo bench` runs
+//! benches from the package directory).
 //!
 //! This is the CI-gated companion to `telemetry_benches` (which uses the
 //! Criterion-style harness for local exploration): a plain `main` so the
 //! job can enforce a ceiling and exit non-zero.
 //!
-//! Flags (after `--`): `--smoke` cuts repetitions for CI; with
+//! Flags (after `--`): `--out PATH` names the JSON file; `--smoke` cuts
+//! repetitions for CI; with
 //! `--enforce-ceiling` the process exits non-zero if the live-traced
 //! path costs more than [`CEILING`]× the plain path per frame. The
 //! ceiling is deliberately loose — shared CI runners are noisy and the
@@ -121,6 +123,16 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let enforce = args.iter().any(|a| a == "--enforce-ceiling");
     let reps = if smoke { 5 } else { 15 };
+    let out = match args.iter().position(|a| a == "--out") {
+        None => "BENCH_telemetry.json".to_string(),
+        Some(i) => match args.get(i + 1) {
+            Some(path) => path.clone(),
+            None => {
+                eprintln!("--out needs a path");
+                std::process::exit(2);
+            }
+        },
+    };
 
     println!(
         "telemetry overhead ({} mode, {FRAMES_PER_REP} frames/rep, median of {reps})\n",
@@ -145,19 +157,16 @@ fn main() {
     let ratio = results[2].ns_per_frame / plain;
 
     let body: Vec<String> = results.iter().map(Lane::to_json).collect();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\"smoke\":{smoke},\"frames_per_rep\":{FRAMES_PER_REP},\
+        "{{\"smoke\":{smoke},\"cores\":{cores},\"frames_per_rep\":{FRAMES_PER_REP},\
          \"live_traced_over_plain\":{ratio:.3},\"ceiling\":{CEILING},\
          \"benchmarks\":[{}]}}\n",
         body.join(",")
     );
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
-    let path = root.join("BENCH_telemetry.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\ncould not write {}: {e}", path.display()),
+    match std::fs::write(&out, &json) {
+        Ok(()) => println!("\nwrote {out}"),
+        Err(e) => eprintln!("\ncould not write {out}: {e}"),
     }
 
     if enforce {

@@ -114,6 +114,13 @@ impl Encoder {
         }
     }
 
+    fn drop_training_state(&mut self) {
+        match self {
+            Encoder::Lstm(l) => l.drop_training_state(),
+            Encoder::Gru(g) => g.drop_training_state(),
+        }
+    }
+
     fn params_mut(&mut self) -> Vec<ParamMut<'_>> {
         match self {
             Encoder::Lstm(l) => l.params_mut(),
@@ -291,6 +298,23 @@ impl EventHit {
         self.encoder.backward_last(&d_h);
     }
 
+    /// The same network without its training state: the last
+    /// minibatch's forward caches and every gradient buffer are freed.
+    /// Weights, config and [`fingerprint`](crate::model_io::fingerprint)
+    /// are unchanged and [`EventHit::forward_inference`] is bit-identical;
+    /// [`EventHit::backward`] panics on the result. Serving lanes hold
+    /// this form, so each lane costs its weights and no more.
+    pub fn into_inference(mut self) -> Self {
+        self.encoder.drop_training_state();
+        self.shared_fc.drop_training_state();
+        for head in &mut self.heads {
+            head.drop_training_state();
+        }
+        self.dropout.drop_training_state();
+        self.cache_concat = None;
+        self
+    }
+
     /// Zeros all accumulated gradients.
     pub fn zero_grad(&mut self) {
         self.encoder.zero_grad();
@@ -461,6 +485,24 @@ mod tests {
         let b = model.forward_inference(&[&r]);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x, y);
+        }
+    }
+
+    #[test]
+    fn inference_copy_keeps_weights_and_frees_training_state() {
+        for kind in [EncoderKind::Lstm, EncoderKind::Gru] {
+            let mut model = EventHit::with_encoder(tiny_config(), kind, 3);
+            let (r1, r2) = (record(5, 4, 0.2), record(5, 4, 0.7));
+            let outs = model.forward(&[&r1, &r2]);
+            model.backward(&outs);
+            let expected = model.forward_inference(&[&r1]);
+            let fp = crate::model_io::fingerprint(&mut model);
+
+            let mut lean = model.into_inference();
+            assert!(lean.cache_concat.is_none());
+            assert!(lean.params_mut().iter().all(|p| p.grad.is_empty()));
+            assert_eq!(crate::model_io::fingerprint(&mut lean), fp);
+            assert_eq!(lean.forward_inference(&[&r1]), expected);
         }
     }
 

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use eventhit_nn::matrix::Matrix;
 use eventhit_nn::quant::InferenceLane;
-use eventhit_telemetry::{fnv1a, Telemetry};
+use eventhit_telemetry::{fnv1a, Counter, Gauge, Histogram, Telemetry};
 use eventhit_video::online::WindowBuffer;
 use eventhit_video::records::{EventLabel, Record};
 
@@ -134,13 +134,49 @@ pub struct OnlinePredictor {
     /// gated streams pay no per-frame telemetry the `Fixed` policy
     /// doesn't.
     skipped_flushed: u64,
-    /// Optional recorder; `None` keeps the hot path free of telemetry
-    /// branches beyond one pointer check.
-    telemetry: Option<Arc<Telemetry>>,
+    /// Resolved `stream.*` handles; `None` keeps the hot path free of
+    /// telemetry branches beyond one pointer check.
+    metrics: Option<StreamMetrics>,
     /// Ambient trace id attached to stage observations while set (the
     /// serving layer sets it per traced batch). Not part of the exported
     /// predictor state: tracing never influences decisions or replay.
     trace: Option<u64>,
+}
+
+/// The predictor's `stream.*` series, resolved once in
+/// [`OnlinePredictor::set_telemetry`] so recording takes no lock on the
+/// per-frame path and allocates nothing.
+struct StreamMetrics {
+    /// The recorder, kept for its clock.
+    tel: Arc<Telemetry>,
+    frames: Counter,
+    frames_skipped: Counter,
+    frames_relayed: Counter,
+    frames_filtered: Counter,
+    decisions: Counter,
+    decisions_carried: Counter,
+    window_len: Gauge,
+    decision_seconds: Histogram,
+    inference_seconds: Histogram,
+    conformal_seconds: Histogram,
+}
+
+impl StreamMetrics {
+    fn new(tel: Arc<Telemetry>) -> Self {
+        StreamMetrics {
+            frames: tel.counter("stream.frames", ""),
+            frames_skipped: tel.counter("stream.frames_skipped", ""),
+            frames_relayed: tel.counter("stream.frames_relayed", ""),
+            frames_filtered: tel.counter("stream.frames_filtered", ""),
+            decisions: tel.counter("stream.decisions", ""),
+            decisions_carried: tel.counter("stream.decisions_carried", ""),
+            window_len: tel.gauge("stream.window_len"),
+            decision_seconds: tel.histogram("stream.decision_seconds", ""),
+            inference_seconds: tel.histogram("stream.stage_seconds", "inference"),
+            conformal_seconds: tel.histogram("stream.stage_seconds", "conformal"),
+            tel,
+        }
+    }
 }
 
 /// The duplicate-carry memo of the last scored anchor.
@@ -201,6 +237,9 @@ impl OnlinePredictor {
             InferenceLane::Exact => None,
             InferenceLane::Quantized => Some(model.quantized()),
         };
+        // Lanes only score: drop the training state the trained model
+        // carries (see `EventHit::into_inference`).
+        let model = model.into_inference();
         OnlinePredictor {
             buffer: WindowBuffer::new(cfg.window, cfg.input_dim),
             horizon: cfg.horizon as u64,
@@ -214,7 +253,7 @@ impl OnlinePredictor {
             lane,
             state,
             strategy,
-            telemetry: None,
+            metrics: None,
             trace: None,
         }
     }
@@ -367,7 +406,7 @@ impl OnlinePredictor {
             InferenceLane::Exact => None,
             InferenceLane::Quantized => Some(model.quantized()),
         };
-        self.model = model;
+        self.model = model.into_inference();
         self.state = state;
         Ok(())
     }
@@ -383,9 +422,9 @@ impl OnlinePredictor {
     /// and bump `stream.decisions_carried` instead), sets the
     /// `stream.window_len` gauge to the window length it scored, and
     /// splits the horizon's frames into `stream.frames_relayed` /
-    /// `stream.frames_filtered`.
+    /// `stream.frames_filtered`. The series are resolved here, once.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.telemetry = Some(telemetry);
+        self.metrics = Some(StreamMetrics::new(telemetry));
     }
 
     /// Sets (or clears) the ambient trace id. While set, stage
@@ -431,8 +470,8 @@ impl OnlinePredictor {
     /// count. The gate stays open until the window first fills, so
     /// warmup is identical under every policy.
     pub fn push_frame(&mut self, features: Vec<f32>) -> Option<HorizonDecision> {
-        if let Some(t) = &self.telemetry {
-            t.add("stream.frames", 1);
+        if let Some(m) = &self.metrics {
+            m.frames.add(1);
         }
         self.stream_pos += 1;
         let warmed = self.buffer.is_full();
@@ -448,7 +487,7 @@ impl OnlinePredictor {
         }
         self.countdown = self.horizon - 1;
 
-        let started = self.telemetry.as_deref().map(Telemetry::now);
+        let started = self.metrics.as_ref().map(|m| m.tel.now());
         let anchor = self.stream_pos - 1;
         let m = self.sampler.window_len();
         let gated = !self.sampler.policy().is_fixed();
@@ -472,7 +511,7 @@ impl OnlinePredictor {
                 labels: vec![EventLabel::absent(); self.state.num_events()],
             };
             let scored = self.score_one(&record);
-            scored_at = self.telemetry.as_deref().map(Telemetry::now);
+            scored_at = self.metrics.as_ref().map(|m| m.tel.now());
             let hit = scored.scores.iter().any(|s| s.b >= HIT_TAU1);
             let predictions = self.state.predict(&scored, &self.strategy);
             self.carry = Some(CarriedAnchor {
@@ -491,43 +530,33 @@ impl OnlinePredictor {
         };
         let hit = memo.hit;
         self.sampler.observe_hit(hit);
-        if let (Some(t), Some(t0)) = (&self.telemetry, started) {
-            t.add("stream.decisions", 1);
+        if let (Some(t), Some(t0)) = (&self.metrics, started) {
+            t.decisions.add(1);
             // Skips accumulate in the sampler and flush here in one
             // batch per decision, keeping gated streams' per-frame cost
             // identical to Fixed's.
             let skipped = self.sampler.frames_skipped();
             if skipped > self.skipped_flushed {
-                t.add("stream.frames_skipped", skipped - self.skipped_flushed);
+                t.frames_skipped.add(skipped - self.skipped_flushed);
                 self.skipped_flushed = skipped;
             }
-            t.gauge_set("stream.window_len", m as f64);
-            t.observe("stream.decision_seconds", t.now() - t0);
+            t.window_len.set(m as f64);
+            let end = t.tel.now();
+            t.decision_seconds.observe(end - t0);
             if let Some(tm) = scored_at {
-                let (infer, conformal) = (tm - t0, t.now() - tm);
-                match self.trace {
-                    Some(id) => {
-                        t.observe_traced("stream.stage_seconds", "inference", infer, id);
-                        t.observe_traced("stream.stage_seconds", "conformal", conformal, id);
-                    }
-                    None => {
-                        t.observe_labeled("stream.stage_seconds", "inference", infer);
-                        t.observe_labeled("stream.stage_seconds", "conformal", conformal);
-                    }
-                }
+                let (infer, conformal) = (tm - t0, end - tm);
+                t.inference_seconds.observe_traced(infer, self.trace);
+                t.conformal_seconds.observe_traced(conformal, self.trace);
             } else {
-                t.add("stream.decisions_carried", 1);
+                t.decisions_carried.add(1);
             }
             let relayed: u64 = decision
                 .segments()
                 .iter()
                 .map(|&(_, s, e)| e.saturating_sub(s) + 1)
                 .sum();
-            t.add("stream.frames_relayed", relayed);
-            t.add(
-                "stream.frames_filtered",
-                self.horizon.saturating_sub(relayed),
-            );
+            t.frames_relayed.add(relayed);
+            t.frames_filtered.add(self.horizon.saturating_sub(relayed));
         }
         Some(decision)
     }

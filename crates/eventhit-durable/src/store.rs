@@ -26,7 +26,7 @@ use crate::state_io;
 use crate::{decision_fingerprint, DurableError, DurableResult};
 use eventhit_core::streaming::{HorizonDecision, OnlinePredictor, PredictorState};
 use eventhit_core::{ConformalState, EventHit};
-use eventhit_telemetry::Telemetry;
+use eventhit_telemetry::{Counter, Histogram, Telemetry};
 use std::collections::{BTreeMap, VecDeque};
 use std::fs;
 use std::io::Write;
@@ -48,6 +48,10 @@ pub struct DurableStore {
     log: fs::File,
     events_applied: u64,
     telemetry: Arc<Telemetry>,
+    /// The append path's series, resolved at open.
+    appends: Counter,
+    append_bytes: Counter,
+    commit_seconds: Histogram,
 }
 
 /// What [`DurableStore::open`] found on disk — the inputs to [`replay`].
@@ -134,6 +138,9 @@ impl DurableStore {
                 dir,
                 log,
                 events_applied,
+                appends: telemetry.counter("durable.appends", ""),
+                append_bytes: telemetry.counter("durable.append_bytes", ""),
+                commit_seconds: telemetry.histogram("durable.commit_seconds", ""),
                 telemetry,
             },
             Recovery {
@@ -155,12 +162,10 @@ impl DurableStore {
         let commit_start = self.telemetry.now();
         self.log.write_all(&rec)?;
         self.log.sync_data()?;
-        self.telemetry.observe(
-            "durable.commit_seconds",
-            self.telemetry.now() - commit_start,
-        );
-        self.telemetry.add("durable.appends", 1);
-        self.telemetry.add("durable.append_bytes", rec.len() as u64);
+        self.commit_seconds
+            .observe(self.telemetry.now() - commit_start);
+        self.appends.add(1);
+        self.append_bytes.add(rec.len() as u64);
         self.events_applied += 1;
         Ok(())
     }

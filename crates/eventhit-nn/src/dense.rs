@@ -152,6 +152,15 @@ impl Dense {
         dpre.matmul(&self.w)
     }
 
+    /// Frees the forward caches and the gradient buffers, leaving an
+    /// inference-only layer: [`Dense::forward_inference`] is unchanged,
+    /// but a later `backward` panics.
+    pub fn drop_training_state(&mut self) {
+        (self.cache_x, self.cache_pre, self.cache_out) = (None, None, None);
+        self.dw = Matrix::zeros(0, 0);
+        self.db = Matrix::zeros(0, 0);
+    }
+
     /// Zeros the accumulated gradients.
     pub fn zero_grad(&mut self) {
         self.dw.fill_zero();

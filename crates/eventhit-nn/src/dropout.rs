@@ -45,6 +45,11 @@ impl Dropout {
         self.training
     }
 
+    /// Frees the mask cached for [`Dropout::backward`].
+    pub fn drop_training_state(&mut self) {
+        self.mask = None;
+    }
+
     /// Forward pass. In training mode, samples and caches a mask for the
     /// following [`Dropout::backward`] call; in inference mode this is the
     /// identity.

@@ -235,6 +235,16 @@ impl Gru {
         }
     }
 
+    /// Frees the BPTT cache and the gradient buffers, leaving an
+    /// inference-only layer: [`Gru::forward_inference`] is unchanged,
+    /// but a later `backward` panics.
+    pub fn drop_training_state(&mut self) {
+        self.cache = Vec::new();
+        for g in [&mut self.dwx, &mut self.dwh, &mut self.dbx, &mut self.dbh] {
+            *g = Matrix::zeros(0, 0);
+        }
+    }
+
     /// Zeros the accumulated gradients.
     pub fn zero_grad(&mut self) {
         self.dwx.fill_zero();

@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use eventhit_telemetry::Telemetry;
+use eventhit_telemetry::{Gauge, Telemetry};
 
 /// One shard's admission state: the open-stream cap and the live count.
 ///
@@ -164,24 +164,41 @@ impl ServeTotals {
 pub struct SlotGuard {
     admission: Arc<AdmissionController>,
     totals: Arc<ServeTotals>,
-    telemetry: Arc<Telemetry>,
-    shard_gauge: &'static str,
+    gauges: SlotGauges,
 }
 
 /// Name of the cross-shard aggregate gauge: the fleet-wide live stream
 /// count `eventhit-cli top` and the telemetry tests read.
 pub const ACTIVE_STREAMS_GAUGE: &str = "serve.active_streams";
 
+/// The two gauges a [`SlotGuard`] keeps honest, resolved once per shard:
+/// the shard's `serve.shard{N}.active_streams` and the fleet-wide
+/// [`ACTIVE_STREAMS_GAUGE`].
+#[derive(Debug, Clone)]
+pub struct SlotGauges {
+    shard: Gauge,
+    fleet: Gauge,
+}
+
+impl SlotGauges {
+    /// Resolves shard `shard`'s gauges on `telemetry`.
+    pub fn new(telemetry: &Telemetry, shard: u32) -> Self {
+        SlotGauges {
+            shard: telemetry.gauge(&format!("serve.shard{shard}.active_streams")),
+            fleet: telemetry.gauge(ACTIVE_STREAMS_GAUGE),
+        }
+    }
+}
+
 impl SlotGuard {
     /// Tries to claim one stream slot on `admission` (the owning shard's
-    /// controller), updating the shard's `shard_gauge` and the aggregate
+    /// controller), updating the shard's gauge and the aggregate
     /// [`ACTIVE_STREAMS_GAUGE`] on success. `None` means the shard is at
     /// capacity.
     pub fn claim(
         admission: &Arc<AdmissionController>,
         totals: &Arc<ServeTotals>,
-        telemetry: &Arc<Telemetry>,
-        shard_gauge: &'static str,
+        gauges: &SlotGauges,
     ) -> Option<Self> {
         if !admission.try_admit() {
             return None;
@@ -190,18 +207,15 @@ impl SlotGuard {
         let guard = SlotGuard {
             admission: Arc::clone(admission),
             totals: Arc::clone(totals),
-            telemetry: Arc::clone(telemetry),
-            shard_gauge,
+            gauges: gauges.clone(),
         };
         guard.record_gauges();
         Some(guard)
     }
 
     fn record_gauges(&self) {
-        self.telemetry
-            .gauge_set(self.shard_gauge, self.admission.active() as f64);
-        self.telemetry
-            .gauge_set(ACTIVE_STREAMS_GAUGE, self.totals.active() as f64);
+        self.gauges.shard.set(self.admission.active() as f64);
+        self.gauges.fleet.set(self.totals.active() as f64);
     }
 }
 
@@ -296,10 +310,11 @@ mod tests {
     fn slot_guard_releases_on_every_drop_path() {
         let a = Arc::new(AdmissionController::new(1));
         let totals = Arc::new(ServeTotals::new());
-        let t = Arc::new(Telemetry::with_manual_clock());
-        let g = SlotGuard::claim(&a, &totals, &t, "serve.shard0.active_streams").expect("slot");
+        let t = Telemetry::with_manual_clock();
+        let gauges = SlotGauges::new(&t, 0);
+        let g = SlotGuard::claim(&a, &totals, &gauges).expect("slot");
         assert!(
-            SlotGuard::claim(&a, &totals, &t, "serve.shard0.active_streams").is_none(),
+            SlotGuard::claim(&a, &totals, &gauges).is_none(),
             "cap reached"
         );
         assert_eq!(a.active(), 1);
@@ -327,11 +342,12 @@ mod tests {
         let shard0 = Arc::new(AdmissionController::new(1));
         let shard1 = Arc::new(AdmissionController::new(1));
         let totals = Arc::new(ServeTotals::new());
-        let t = Arc::new(Telemetry::with_manual_clock());
-        let g0 = SlotGuard::claim(&shard0, &totals, &t, "serve.shard0.active_streams").unwrap();
-        let g1 = SlotGuard::claim(&shard1, &totals, &t, "serve.shard1.active_streams").unwrap();
+        let t = Telemetry::with_manual_clock();
+        let (gauges0, gauges1) = (SlotGauges::new(&t, 0), SlotGauges::new(&t, 1));
+        let g0 = SlotGuard::claim(&shard0, &totals, &gauges0).unwrap();
+        let g1 = SlotGuard::claim(&shard1, &totals, &gauges1).unwrap();
         assert!(
-            SlotGuard::claim(&shard0, &totals, &t, "serve.shard0.active_streams").is_none(),
+            SlotGuard::claim(&shard0, &totals, &gauges0).is_none(),
             "shard 0 is full even though shard 1 has capacity counted elsewhere"
         );
         assert_eq!(totals.active(), 2);

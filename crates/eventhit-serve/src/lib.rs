@@ -74,7 +74,7 @@ pub mod protocol;
 pub mod router;
 pub mod server;
 
-pub use admission::{ServeTotals, SlotGuard};
+pub use admission::{ServeTotals, SlotGauges, SlotGuard};
 pub use client::{
     is_disconnected, Disconnected, HealthInfo, MetricsInfo, Negotiated, Rejection, Response,
     ServeClient,

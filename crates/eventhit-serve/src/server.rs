@@ -39,7 +39,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use eventhit_core::faults::FaultConfig;
 use eventhit_core::resilient::{DegradationTag, ResilienceConfig, ResilientCiClient};
@@ -50,10 +50,10 @@ use eventhit_durable::{
     decision_fingerprint, replay, DurableError, DurableStore, LaneSnapshot, SessionEvent, Snapshot,
 };
 use eventhit_parallel::Pool;
-use eventhit_telemetry::{SlowDecision, Telemetry};
+use eventhit_telemetry::{Counter, Histogram, SlowDecision, Telemetry};
 use eventhit_video::detector::StageModel;
 
-use crate::admission::{AdmissionController, FrameQueue, ServeTotals, SlotGuard};
+use crate::admission::{AdmissionController, FrameQueue, ServeTotals, SlotGauges, SlotGuard};
 use crate::convert::decision_to_wire;
 use crate::protocol::{
     read_message, write_message, Message, RejectCode, StreamSummary, WireCounter, WireDecision,
@@ -194,6 +194,8 @@ struct Lane {
     frames: u64,
     decisions: u64,
     slot: Option<SlotGuard>,
+    /// This stream's `serve.stream_frames` series, resolved at open.
+    stream_frames: Histogram,
 }
 
 /// The active hot-reload: weights, refitted conformal state, and the
@@ -213,6 +215,7 @@ struct DurableHub {
     reload: Option<ActiveReload>,
     snapshot_every: u64,
     events_at_last_snapshot: u64,
+    snapshot_skips: Counter,
 }
 
 impl DurableHub {
@@ -220,13 +223,13 @@ impl DurableHub {
     /// snapshot. Lane iteration order (ascending stream id) makes the
     /// snapshot bytes deterministic for a given state. Cadence checks
     /// that decide not to snapshot count under `durable.snapshot_skips`.
-    fn maybe_snapshot(&mut self, t: &Telemetry) -> Result<(), DurableError> {
+    fn maybe_snapshot(&mut self) -> Result<(), DurableError> {
         if self.snapshot_every == 0 {
             return Ok(());
         }
         let events = self.store.events_applied();
         if events - self.events_at_last_snapshot < self.snapshot_every {
-            t.add("durable.snapshot_skips", 1);
+            self.snapshot_skips.add(1);
             return Ok(());
         }
         let lanes = self
@@ -256,46 +259,63 @@ impl DurableHub {
     }
 }
 
-/// Interned per-shard metric names. Telemetry metric names are
-/// `&'static str`; shard-scoped names are built once per `(shard, metric)`
-/// pair and leaked through a global intern table, so repeated binds (test
-/// suites construct many servers) reuse the same allocation instead of
-/// leaking per bind.
-fn intern_metric(name: String) -> &'static str {
-    static TABLE: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
-    let mut table = TABLE
-        .get_or_init(|| Mutex::new(BTreeSet::new()))
-        .lock()
-        .expect("metric intern table poisoned");
-    if let Some(&existing) = table.get(name.as_str()) {
-        return existing;
-    }
-    let leaked: &'static str = Box::leak(name.into_boxed_str());
-    table.insert(leaked);
-    leaked
+/// The `serve.*` series the request path records into, resolved once
+/// at bind. Rare events (sessions, rejections, errors) record by name.
+struct ServeMetrics {
+    frames: Counter,
+    decisions: Counter,
+    streams_opened: Counter,
+    streams_closed: Counter,
+    decision_seconds: Histogram,
+    /// `serve.stage_seconds` series, one per stage label.
+    session_read: Histogram,
+    queue_wait: Histogram,
+    durable_commit: Histogram,
+    reply_write: Histogram,
 }
 
-/// The `serve.shard{N}.*` telemetry scope for one shard.
-#[derive(Clone, Copy)]
-struct ShardNames {
-    active_streams: &'static str,
-    streams_opened: &'static str,
-    frames: &'static str,
-    decisions: &'static str,
-    rejected: &'static str,
-}
-
-impl ShardNames {
-    fn new(shard: u32) -> Self {
-        let name = |metric: &str| intern_metric(format!("serve.shard{shard}.{metric}"));
-        ShardNames {
-            active_streams: name("active_streams"),
-            streams_opened: name("streams_opened"),
-            frames: name("frames"),
-            decisions: name("decisions"),
-            rejected: name("rejected"),
+impl ServeMetrics {
+    fn new(t: &Telemetry) -> Self {
+        let stage = |label| t.histogram("serve.stage_seconds", label);
+        ServeMetrics {
+            frames: t.counter("serve.frames", ""),
+            decisions: t.counter("serve.decisions", ""),
+            streams_opened: t.counter("serve.streams_opened", ""),
+            streams_closed: t.counter("serve.streams_closed", ""),
+            decision_seconds: t.histogram("serve.decision_seconds", ""),
+            session_read: stage("session_read"),
+            queue_wait: stage("queue_wait"),
+            durable_commit: stage("durable_commit"),
+            reply_write: stage("reply_write"),
         }
     }
+}
+
+/// The `serve.shard{N}.*` scope of one shard, resolved at bind.
+struct ShardMetrics {
+    slots: SlotGauges,
+    streams_opened: Counter,
+    frames: Counter,
+    decisions: Counter,
+    rejected: Counter,
+}
+
+impl ShardMetrics {
+    fn new(t: &Telemetry, shard: u32) -> Self {
+        let counter = |metric: &str| t.counter(&format!("serve.shard{shard}.{metric}"), "");
+        ShardMetrics {
+            slots: SlotGauges::new(t, shard),
+            streams_opened: counter("streams_opened"),
+            frames: counter("frames"),
+            decisions: counter("decisions"),
+            rejected: counter("rejected"),
+        }
+    }
+}
+
+/// This stream's `serve.stream_frames` series.
+fn stream_frames(t: &Telemetry, stream_id: u32) -> Histogram {
+    t.histogram("serve.stream_frames", &stream_id.to_string())
 }
 
 /// One shard: the unit of stream ownership. Every stream id resolves to
@@ -306,7 +326,7 @@ impl ShardNames {
 struct Shard {
     admission: Arc<AdmissionController>,
     durable: Option<Mutex<DurableHub>>,
-    names: ShardNames,
+    metrics: ShardMetrics,
 }
 
 struct Shared {
@@ -317,6 +337,7 @@ struct Shared {
     shards: Vec<Shard>,
     totals: Arc<ServeTotals>,
     telemetry: Arc<Telemetry>,
+    metrics: ServeMetrics,
 }
 
 impl Shared {
@@ -452,6 +473,7 @@ impl Server {
                                     frames: rl.frames,
                                     decisions: rl.decisions,
                                     slot: None,
+                                    stream_frames: stream_frames(&telemetry, stream_id),
                                 },
                             )
                         })
@@ -468,6 +490,7 @@ impl Server {
                         reload,
                         snapshot_every: opts.snapshot_every,
                         events_at_last_snapshot: events,
+                        snapshot_skips: telemetry.counter("durable.snapshot_skips", ""),
                     }))
                 }
             };
@@ -478,7 +501,7 @@ impl Server {
                     i,
                 ))),
                 durable,
-                names: ShardNames::new(i),
+                metrics: ShardMetrics::new(&telemetry, i),
             });
         }
         let addrs: Vec<SocketAddr> = cfg.addr.to_socket_addrs()?.collect();
@@ -494,6 +517,7 @@ impl Server {
                 router,
                 shards,
                 totals: Arc::new(ServeTotals::new()),
+                metrics: ServeMetrics::new(&telemetry),
                 telemetry,
             }),
         })
@@ -743,7 +767,7 @@ fn session_loop(
             Ok(None) => return Ok(()), // clean disconnect
             Err(e) => return Err(e),
         };
-        observe_stage(t, "session_read", t.now() - read_start, None);
+        shared.metrics.session_read.observe(t.now() - read_start);
         match msg {
             Message::OpenStream { stream_id } => {
                 if lanes.contains_key(&stream_id) {
@@ -757,13 +781,10 @@ fn session_loop(
                     continue;
                 }
                 let shard = shared.shard_of(stream_id);
-                let Some(slot) = SlotGuard::claim(
-                    &shard.admission,
-                    &shared.totals,
-                    t,
-                    shard.names.active_streams,
-                ) else {
-                    t.add(shard.names.rejected, 1);
+                let Some(slot) =
+                    SlotGuard::claim(&shard.admission, &shared.totals, &shard.metrics.slots)
+                else {
+                    shard.metrics.rejected.add(1);
                     reject(
                         &mut chan,
                         t,
@@ -809,10 +830,11 @@ fn session_loop(
                         frames: 0,
                         decisions: 0,
                         slot: Some(slot),
+                        stream_frames: stream_frames(t, stream_id),
                     },
                 );
-                t.add("serve.streams_opened", 1);
-                t.add(shard.names.streams_opened, 1);
+                shared.metrics.streams_opened.add(1);
+                shard.metrics.streams_opened.add(1);
                 write_message(&mut chan, &Message::StreamOpened { stream_id })?;
             }
 
@@ -856,7 +878,7 @@ fn session_loop(
                     )?;
                     continue;
                 };
-                t.add("serve.streams_closed", 1);
+                shared.metrics.streams_closed.add(1);
                 write_message(
                     &mut chan,
                     &Message::StreamClosed {
@@ -936,7 +958,7 @@ fn durable_session_loop(
             Ok(None) => return Ok(()), // clean disconnect; lanes get parked
             Err(e) => return Err(e),
         };
-        observe_stage(t, "session_read", t.now() - read_start, None);
+        shared.metrics.session_read.observe(t.now() - read_start);
         match msg {
             Message::OpenStream { stream_id } => {
                 let shard = shared.shard_of(stream_id);
@@ -955,14 +977,11 @@ fn durable_session_loop(
                     )?;
                     continue;
                 }
-                let Some(slot) = SlotGuard::claim(
-                    &shard.admission,
-                    &shared.totals,
-                    t,
-                    shard.names.active_streams,
-                ) else {
+                let Some(slot) =
+                    SlotGuard::claim(&shard.admission, &shared.totals, &shard.metrics.slots)
+                else {
                     drop(hub);
-                    t.add(shard.names.rejected, 1);
+                    shard.metrics.rejected.add(1);
                     reject(
                         &mut chan,
                         t,
@@ -997,12 +1016,13 @@ fn durable_session_loop(
                         frames: 0,
                         decisions: 0,
                         slot: Some(slot),
+                        stream_frames: stream_frames(t, stream_id),
                     },
                 );
                 drop(hub);
                 owned.insert(stream_id);
-                t.add("serve.streams_opened", 1);
-                t.add(shard.names.streams_opened, 1);
+                shared.metrics.streams_opened.add(1);
+                shard.metrics.streams_opened.add(1);
                 write_message(&mut chan, &Message::StreamOpened { stream_id })?;
             }
 
@@ -1052,14 +1072,11 @@ fn durable_session_loop(
                     )?;
                     return Ok(());
                 }
-                let Some(slot) = SlotGuard::claim(
-                    &shard.admission,
-                    &shared.totals,
-                    t,
-                    shard.names.active_streams,
-                ) else {
+                let Some(slot) =
+                    SlotGuard::claim(&shard.admission, &shared.totals, &shard.metrics.slots)
+                else {
                     drop(hub);
-                    t.add(shard.names.rejected, 1);
+                    shard.metrics.rejected.add(1);
                     reject(
                         &mut chan,
                         t,
@@ -1135,10 +1152,10 @@ fn durable_session_loop(
                     .lanes
                     .remove(&stream_id)
                     .expect("owned streams exist in the hub");
-                hub.maybe_snapshot(t).map_err(durable_io)?;
+                hub.maybe_snapshot().map_err(durable_io)?;
                 drop(hub);
                 owned.remove(&stream_id);
-                t.add("serve.streams_closed", 1);
+                shared.metrics.streams_closed.add(1);
                 write_message(
                     &mut chan,
                     &Message::StreamClosed {
@@ -1239,15 +1256,6 @@ fn reject(
     )
 }
 
-/// Records one `serve.stage_seconds` sample, attaching the batch's trace
-/// id as a histogram exemplar when the request carried one.
-fn observe_stage(t: &Telemetry, stage: &'static str, seconds: f64, trace: Option<u64>) {
-    match trace {
-        Some(id) => t.observe_traced("serve.stage_seconds", stage, seconds, id),
-        None => t.observe_labeled("serve.stage_seconds", stage, seconds),
-    }
-}
-
 /// Drains everything queued on `lane` through its predictor with the
 /// batch's trace attached, so the predictor's inference / conformal
 /// stage samples carry the client's trace id as exemplars.
@@ -1268,21 +1276,22 @@ fn drain_lane(lane: &mut Lane, trace: Option<u64>) -> Vec<HorizonDecision> {
 /// id), plus one bounded slow-log entry per decision carrying the stage
 /// breakdown.
 fn record_decisions(
-    t: &Telemetry,
+    shared: &Shared,
     trace: Option<u64>,
     stream_id: u32,
     drained: &[HorizonDecision],
     elapsed: f64,
     stages: &[(&'static str, f64)],
 ) {
+    let t = &shared.telemetry;
     if !t.is_enabled() {
         return;
     }
     for d in drained {
-        match trace {
-            Some(id) => t.observe_traced("serve.decision_seconds", "", elapsed, id),
-            None => t.observe("serve.decision_seconds", elapsed),
-        }
+        shared
+            .metrics
+            .decision_seconds
+            .observe_traced(elapsed, trace);
         t.slow_decision(SlowDecision {
             duration_seconds: elapsed,
             stream_id,
@@ -1295,18 +1304,23 @@ fn record_decisions(
 
 /// Counts an accepted batch: the fleet-wide totals behind `Health`, the
 /// global serve counters, the owning shard's `serve.shard{N}.*` scope,
-/// and the per-stream `serve.stream_frames` rate series.
-fn count_batch(shared: &Shared, stream_id: u32, rows: usize, decisions: usize) {
-    let t = &shared.telemetry;
-    let names = shared.shard_of(stream_id).names;
+/// and the stream's `serve.stream_frames` rate series.
+fn count_batch(
+    shared: &Shared,
+    stream_frames: &Histogram,
+    stream_id: u32,
+    rows: usize,
+    decisions: usize,
+) {
+    let shard = &shared.shard_of(stream_id).metrics;
     shared.totals.add_frames(rows as u64);
     shared.totals.add_decisions(decisions as u64);
-    t.add("serve.frames", rows as u64);
-    t.add("serve.decisions", decisions as u64);
-    t.add(names.frames, rows as u64);
-    t.add(names.decisions, decisions as u64);
-    if t.is_enabled() && rows > 0 {
-        t.observe_labeled("serve.stream_frames", &stream_id.to_string(), rows as f64);
+    shared.metrics.frames.add(rows as u64);
+    shared.metrics.decisions.add(decisions as u64);
+    shard.frames.add(rows as u64);
+    shard.decisions.add(decisions as u64);
+    if rows > 0 {
+        stream_frames.observe(rows as f64);
     }
 }
 
@@ -1458,13 +1472,22 @@ fn submit_plain(
     let drain_start = t.now();
     let drained = drain_lane(lane, trace);
     let drained_at = t.now();
-    observe_stage(t, "queue_wait", drain_start - enqueued_at, trace);
+    shared
+        .metrics
+        .queue_wait
+        .observe_traced(drain_start - enqueued_at, trace);
     lane.frames += rows as u64;
     lane.decisions += drained.len() as u64;
     let decisions: Vec<WireDecision> = drained.iter().map(decision_to_wire).collect();
-    count_batch(shared, stream_id, rows, decisions.len());
+    count_batch(
+        shared,
+        &lane.stream_frames,
+        stream_id,
+        rows,
+        decisions.len(),
+    );
     record_decisions(
-        t,
+        shared,
         trace,
         stream_id,
         &drained,
@@ -1476,7 +1499,10 @@ fn submit_plain(
     );
     let write_start = t.now();
     write_message(chan, &decisions_reply(trace, stream_id, decisions))?;
-    observe_stage(t, "reply_write", t.now() - write_start, trace);
+    shared
+        .metrics
+        .reply_write
+        .observe_traced(t.now() - write_start, trace);
     Ok(true)
 }
 
@@ -1580,9 +1606,13 @@ fn submit_durable(
     let drain_start = t.now();
     let drained = drain_lane(lane, trace);
     let drained_at = t.now();
-    observe_stage(t, "queue_wait", drain_start - enqueued_at, trace);
+    shared
+        .metrics
+        .queue_wait
+        .observe_traced(drain_start - enqueued_at, trace);
     lane.frames += rows as u64;
     lane.decisions += drained.len() as u64;
+    let stream_frames = lane.stream_frames.clone();
     let commit_resume = t.now();
     for d in &drained {
         hub.store
@@ -1593,14 +1623,14 @@ fn submit_durable(
             })
             .map_err(durable_io)?;
     }
-    hub.maybe_snapshot(t).map_err(durable_io)?;
+    hub.maybe_snapshot().map_err(durable_io)?;
     commit += t.now() - commit_resume;
     drop(hub);
-    observe_stage(t, "durable_commit", commit, trace);
+    shared.metrics.durable_commit.observe_traced(commit, trace);
     let decisions: Vec<WireDecision> = drained.iter().map(decision_to_wire).collect();
-    count_batch(shared, stream_id, rows, decisions.len());
+    count_batch(shared, &stream_frames, stream_id, rows, decisions.len());
     record_decisions(
-        t,
+        shared,
         trace,
         stream_id,
         &drained,
@@ -1613,6 +1643,9 @@ fn submit_durable(
     );
     let write_start = t.now();
     write_message(chan, &decisions_reply(trace, stream_id, decisions))?;
-    observe_stage(t, "reply_write", t.now() - write_start, trace);
+    shared
+        .metrics
+        .reply_write
+        .observe_traced(t.now() - write_start, trace);
     Ok(true)
 }

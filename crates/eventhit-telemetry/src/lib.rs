@@ -19,6 +19,14 @@
 //!   gauge samples line up with the simulation timeline and the whole
 //!   telemetry stream is a pure function of the inputs (bit-reproducible).
 //!
+//! Hot paths resolve their series once into handles
+//! ([`Telemetry::counter`], [`Telemetry::gauge`],
+//! [`Telemetry::histogram`]): a counter add is then one uncontended
+//! atomic add and no recording call takes a recorder-wide lock. The
+//! `&'static str` methods ([`Telemetry::add`], [`Telemetry::observe`],
+//! ...) resolve on every call and update the same series, for cold
+//! callers.
+//!
 //! Every recording call is a no-op on a disabled recorder
 //! ([`Telemetry::disabled`]), so instrumented hot paths can stay
 //! instrumented in production builds; the bench suite measures the
@@ -33,15 +41,18 @@
 //!     tel.set_time(1.5);
 //!     tel.add("demo.items", 3);
 //!     tel.observe("demo.latency_seconds", 0.25);
+//!     let items = tel.counter("demo.items", "");
+//!     items.add(2);
 //! }
 //! let snap = tel.snapshot();
-//! assert_eq!(snap.counter("demo.items"), Some(3));
+//! assert_eq!(snap.counter("demo.items"), Some(5));
 //! assert_eq!(snap.fingerprint(), tel.snapshot().fingerprint());
 //! ```
 
 #![deny(missing_docs)]
 
 pub mod clock;
+pub mod handle;
 pub mod hist;
 pub mod percentile;
 pub mod registry;
@@ -51,6 +62,7 @@ pub mod slowlog;
 pub mod window;
 
 pub use clock::ClockKind;
+pub use handle::{Counter, Gauge, Histogram};
 pub use hist::LogHistogram;
 pub use percentile::{percentile, percentiles};
 pub use registry::{SpanGuard, SpanRecord, Telemetry};

@@ -1,38 +1,30 @@
 //! The telemetry recorder: metric registry plus span stack.
 //!
 //! A [`Telemetry`] value is shared by reference (or `Arc`) across the
-//! instrumented stack; all mutation happens behind one internal mutex, so
-//! call sites need only `&self`. Metric maps are `BTreeMap`s keyed by
-//! `(name, label)`, which makes every snapshot iterate in one
-//! deterministic order — a precondition for the fingerprinting scheme.
+//! instrumented stack; call sites need only `&self`. Each metric family
+//! (counters, gauges, histograms) is a map from name to label to series,
+//! behind a registration lock that only resolution takes; recording goes
+//! through the resolved series (see [`crate::handle`]). The maps are
+//! `BTreeMap`s, so every snapshot iterates in one deterministic
+//! `(name, label)` order — a precondition for the fingerprinting scheme.
+//! The slow-decision log and the span trace each have a lock of their
+//! own.
 
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use crate::clock::ClockKind;
-use crate::hist::LogHistogram;
+pub use crate::handle::GaugeStat;
+use crate::handle::{
+    lock, Clock, Counter, CounterSeries, Gauge, GaugeSeries, HistSeries, Histogram,
+};
 use crate::report::TelemetrySnapshot;
-use crate::slo::SloStat;
 use crate::slowlog::{SlowDecision, SlowLog};
-use crate::window::{WindowedSeries, DEFAULT_WINDOW_SECS};
+use crate::window::DEFAULT_WINDOW_SECS;
 
 /// Hard cap on the span trace buffer; spans beyond it are counted in
 /// `dropped_spans` instead of recorded, bounding memory on long runs.
 pub const MAX_SPANS: usize = 1 << 16;
-
-/// Last/min/max/sample-count summary of a gauge.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GaugeStat {
-    /// Most recently set value.
-    pub last: f64,
-    /// Smallest value ever set.
-    pub min: f64,
-    /// Largest value ever set.
-    pub max: f64,
-    /// Number of times the gauge was set.
-    pub samples: u64,
-}
 
 /// One recorded span: a named region of (wall or simulated) time with an
 /// optional parent, forming a forest.
@@ -61,31 +53,109 @@ impl SpanRecord {
     }
 }
 
-type MetricKey = (String, String);
+/// One metric name's series. The unlabeled series is kept apart: it
+/// sorts before every labeled one, and its lookup compares no strings.
+/// (Looking `""` up in a `String`-keyed map compares empty strings, which
+/// cost ~150 ns a lookup on a 2-vCPU x86-64 host.)
+#[derive(Debug)]
+struct Labels<T> {
+    unlabeled: Option<Arc<T>>,
+    labeled: BTreeMap<String, Arc<T>>,
+}
+
+impl<T> Default for Labels<T> {
+    fn default() -> Self {
+        Labels {
+            unlabeled: None,
+            labeled: BTreeMap::new(),
+        }
+    }
+}
+
+impl<T> Labels<T> {
+    fn get(&self, label: &str) -> Option<&Arc<T>> {
+        if label.is_empty() {
+            self.unlabeled.as_ref()
+        } else {
+            self.labeled.get(label)
+        }
+    }
+
+    fn get_or_insert(&mut self, label: &str, make: impl FnOnce() -> T) -> &Arc<T> {
+        let make = || Arc::new(make());
+        if label.is_empty() {
+            self.unlabeled.get_or_insert_with(make)
+        } else {
+            self.labeled.entry(label.to_string()).or_insert_with(make)
+        }
+    }
+
+    /// `(label, series)` in label order.
+    fn iter(&self) -> impl Iterator<Item = (&str, &Arc<T>)> {
+        let unlabeled = self.unlabeled.iter().map(|s| ("", s));
+        unlabeled.chain(self.labeled.iter().map(|(l, s)| (l.as_str(), s)))
+    }
+}
+
+/// name → label → series. Nested maps iterate in exactly the order of a
+/// map keyed by the `(name, label)` tuple, and let a lookup borrow both
+/// keys as `&str` without allocating.
+type Family<T> = RwLock<BTreeMap<String, Labels<T>>>;
+
+/// Runs `f` on the series `(name, label)` of `family`, registering it
+/// with `make` on first use. A hit takes only the read side of the
+/// registration lock and allocates nothing.
+fn with_series<T, R>(
+    family: &Family<T>,
+    name: &str,
+    label: &str,
+    make: impl FnOnce() -> T,
+    f: impl FnOnce(&Arc<T>) -> R,
+) -> R {
+    // Registration only inserts whole entries, so a poisoned map is
+    // still consistent.
+    {
+        let map = family.read().unwrap_or_else(PoisonError::into_inner);
+        if let Some(s) = map.get(name).and_then(|labels| labels.get(label)) {
+            return f(s);
+        }
+    }
+    let mut map = family.write().unwrap_or_else(PoisonError::into_inner);
+    let labels = map.entry(name.to_string()).or_default();
+    f(labels.get_or_insert(label, make))
+}
+
+/// Every series of `family` in `(name, label)` order.
+fn series<T>(family: &Family<T>) -> Vec<(String, String, Arc<T>)> {
+    let map = family.read().unwrap_or_else(PoisonError::into_inner);
+    map.iter()
+        .flat_map(|(n, labels)| {
+            labels
+                .iter()
+                .map(move |(l, s)| (n.clone(), l.to_string(), Arc::clone(s)))
+        })
+        .collect()
+}
 
 #[derive(Debug, Default)]
-struct Inner {
-    manual_now: f64,
-    counters: BTreeMap<MetricKey, u64>,
-    gauges: BTreeMap<MetricKey, GaugeStat>,
-    hists: BTreeMap<MetricKey, LogHistogram>,
-    windows: BTreeMap<MetricKey, WindowedSeries>,
-    exemplars: BTreeMap<MetricKey, BTreeMap<usize, u64>>,
-    slos: BTreeMap<MetricKey, SloStat>,
-    slow: SlowLog,
+struct Trace {
     spans: Vec<SpanRecord>,
     open: Vec<u32>,
-    dropped_spans: u64,
+    dropped: u64,
 }
 
 /// The recorder. See the crate docs for the clock semantics; a disabled
-/// recorder turns every call into a cheap early return.
+/// recorder turns every call into a cheap early return and hands out
+/// no-op handles.
 #[derive(Debug)]
 pub struct Telemetry {
     enabled: bool,
-    clock: ClockKind,
-    epoch: Instant,
-    inner: Mutex<Inner>,
+    clock: Arc<Clock>,
+    counters: Family<CounterSeries>,
+    gauges: Family<GaugeSeries>,
+    hists: Family<HistSeries>,
+    slow: Mutex<SlowLog>,
+    trace: Mutex<Trace>,
 }
 
 impl Default for Telemetry {
@@ -98,9 +168,12 @@ impl Telemetry {
     fn build(enabled: bool, clock: ClockKind) -> Self {
         Telemetry {
             enabled,
-            clock,
-            epoch: Instant::now(),
-            inner: Mutex::new(Inner::default()),
+            clock: Arc::new(Clock::new(clock)),
+            counters: Family::default(),
+            gauges: Family::default(),
+            hists: Family::default(),
+            slow: Mutex::default(),
+            trace: Mutex::default(),
         }
     }
 
@@ -130,38 +203,63 @@ impl Telemetry {
 
     /// Which clock the recorder reads.
     pub fn clock_kind(&self) -> ClockKind {
-        self.clock
+        self.clock.kind
     }
 
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn now_locked(&self, inner: &Inner) -> f64 {
-        match self.clock {
-            ClockKind::Wall => self.epoch.elapsed().as_secs_f64(),
-            ClockKind::Manual => inner.manual_now,
-        }
-    }
-
-    /// Current clock reading in seconds. A disabled recorder always
-    /// reads 0 so timing arithmetic around it stays finite.
+    /// Current clock reading in seconds; takes no lock. A disabled
+    /// recorder always reads 0 so timing arithmetic around it stays
+    /// finite.
     pub fn now(&self) -> f64 {
         if !self.enabled {
             return 0.0;
         }
-        let inner = self.lock();
-        self.now_locked(&inner)
+        self.clock.now()
     }
 
     /// Advances the manual clock to `t` simulated seconds (no-op on the
     /// wall clock; the simulators call this unconditionally as their
     /// event clock moves).
     pub fn set_time(&self, t: f64) {
-        if !self.enabled || self.clock != ClockKind::Manual {
-            return;
+        if self.enabled && self.clock.kind == ClockKind::Manual {
+            self.clock.set(t);
         }
-        self.lock().manual_now = t;
+    }
+
+    /// Resolves the `label` series of counter `name` (label `""` is the
+    /// unlabeled series) to a handle whose adds take no lock. Resolve
+    /// once, outside the loop that records.
+    pub fn counter(&self, name: &str, label: &str) -> Counter {
+        if !self.enabled {
+            return Counter::noop();
+        }
+        with_series(
+            &self.counters,
+            name,
+            label,
+            CounterSeries::default,
+            Counter::attach,
+        )
+    }
+
+    /// Resolves gauge `name` to a handle (see [`Gauge`]).
+    pub fn gauge(&self, name: &str) -> Gauge {
+        if !self.enabled {
+            return Gauge::noop();
+        }
+        with_series(&self.gauges, name, "", GaugeSeries::default, Gauge::attach)
+    }
+
+    /// Resolves the `label` series of histogram `name` to a handle (see
+    /// [`Histogram`]).
+    pub fn histogram(&self, name: &str, label: &str) -> Histogram {
+        if !self.enabled {
+            return Histogram::noop();
+        }
+        self.with_hist(name, label, Histogram::attach)
+    }
+
+    fn with_hist<R>(&self, name: &str, label: &str, f: impl FnOnce(&Arc<HistSeries>) -> R) -> R {
+        with_series(&self.hists, name, label, || HistSeries::new(&self.clock), f)
     }
 
     /// Opens a span; it closes (and is recorded) when the returned guard
@@ -175,25 +273,25 @@ impl Telemetry {
                 id: u32::MAX,
             };
         }
-        let mut inner = self.lock();
-        if inner.spans.len() >= MAX_SPANS {
-            inner.dropped_spans += 1;
+        let mut trace = lock(&self.trace);
+        if trace.spans.len() >= MAX_SPANS {
+            trace.dropped += 1;
             return SpanGuard {
                 tel: self,
                 id: u32::MAX,
             };
         }
-        let id = inner.spans.len() as u32;
-        let start = self.now_locked(&inner);
-        let parent = inner.open.last().copied();
-        inner.spans.push(SpanRecord {
+        let id = trace.spans.len() as u32;
+        let start = self.clock.now();
+        let parent = trace.open.last().copied();
+        trace.spans.push(SpanRecord {
             id,
             parent,
             name,
             start,
             end: f64::NAN,
         });
-        inner.open.push(id);
+        trace.open.push(id);
         SpanGuard { tel: self, id }
     }
 
@@ -216,13 +314,13 @@ impl Telemetry {
         if !self.enabled {
             return None;
         }
-        let mut inner = self.lock();
-        if inner.spans.len() >= MAX_SPANS {
-            inner.dropped_spans += 1;
+        let mut trace = lock(&self.trace);
+        if trace.spans.len() >= MAX_SPANS {
+            trace.dropped += 1;
             return None;
         }
-        let id = inner.spans.len() as u32;
-        inner.spans.push(SpanRecord {
+        let id = trace.spans.len() as u32;
+        trace.spans.push(SpanRecord {
             id,
             parent,
             name,
@@ -233,14 +331,14 @@ impl Telemetry {
     }
 
     fn finish_span(&self, id: u32) {
-        let mut inner = self.lock();
-        let end = self.now_locked(&inner);
+        let mut trace = lock(&self.trace);
+        let end = self.clock.now();
         // Guards drop LIFO under normal scoping; if an outer guard is
         // dropped early, close any still-open descendants with it.
-        if let Some(pos) = inner.open.iter().rposition(|&x| x == id) {
-            let closing: Vec<u32> = inner.open.split_off(pos);
+        if let Some(pos) = trace.open.iter().rposition(|&x| x == id) {
+            let closing: Vec<u32> = trace.open.split_off(pos);
             for sid in closing {
-                let rec = &mut inner.spans[sid as usize];
+                let rec = &mut trace.spans[sid as usize];
                 if !rec.end.is_finite() {
                     rec.end = end;
                 }
@@ -254,45 +352,22 @@ impl Telemetry {
     }
 
     /// Adds `delta` to the `label` series of counter `name` (e.g.
-    /// `add_labeled("ci.faults", "outage", 1)`).
+    /// `add_labeled("ci.faults", "outage", 1)`). Resolves the series on
+    /// every call; hot paths hold a [`Telemetry::counter`] handle instead.
     pub fn add_labeled(&self, name: &'static str, label: &str, delta: u64) {
-        if !self.enabled {
-            return;
-        }
-        let mut inner = self.lock();
-        match inner
-            .counters
-            .get_mut(&(name.to_string(), label.to_string()))
-        {
-            Some(c) => *c += delta,
-            None => {
-                inner
-                    .counters
-                    .insert((name.to_string(), label.to_string()), delta);
-            }
+        if self.enabled {
+            with_series(&self.counters, name, label, CounterSeries::default, |s| {
+                s.add(delta)
+            });
         }
     }
 
     /// Sets gauge `name` to `v`, tracking last/min/max. Non-finite values
     /// are ignored.
     pub fn gauge_set(&self, name: &'static str, v: f64) {
-        if !self.enabled || !v.is_finite() {
-            return;
+        if self.enabled {
+            with_series(&self.gauges, name, "", GaugeSeries::default, |s| s.set(v));
         }
-        let mut inner = self.lock();
-        let entry = inner
-            .gauges
-            .entry((name.to_string(), String::new()))
-            .or_insert(GaugeStat {
-                last: v,
-                min: v,
-                max: v,
-                samples: 0,
-            });
-        entry.last = v;
-        entry.min = entry.min.min(v);
-        entry.max = entry.max.max(v);
-        entry.samples += 1;
     }
 
     /// Records `v` into the log-bucketed histogram `name`.
@@ -303,7 +378,9 @@ impl Telemetry {
     /// Records `v` into the `label` series of histogram `name` (e.g.
     /// `observe_labeled("serve.stage_seconds", "inference", dt)`).
     pub fn observe_labeled(&self, name: &'static str, label: &str, v: f64) {
-        self.observe_impl(name, label, v, None);
+        if self.enabled {
+            self.with_hist(name, label, |s| s.observe(v, None));
+        }
     }
 
     /// Records `v` like [`Telemetry::observe_labeled`] and additionally
@@ -312,35 +389,8 @@ impl Telemetry {
     /// the exemplar set is independent of observation order and therefore
     /// bit-identical across worker counts).
     pub fn observe_traced(&self, name: &'static str, label: &str, v: f64, trace_id: u64) {
-        self.observe_impl(name, label, v, Some(trace_id));
-    }
-
-    fn observe_impl(&self, name: &'static str, label: &str, v: f64, trace: Option<u64>) {
-        if !self.enabled {
-            return;
-        }
-        let mut inner = self.lock();
-        let now = self.now_locked(&inner);
-        let key = (name.to_string(), label.to_string());
-        inner.hists.entry(key.clone()).or_default().observe(v);
-        inner
-            .windows
-            .entry(key.clone())
-            .or_insert_with(|| WindowedSeries::new(DEFAULT_WINDOW_SECS))
-            .observe(now, v);
-        if let Some(trace) = trace {
-            if let Some(bucket) = LogHistogram::bucket_index(v) {
-                let slot = inner
-                    .exemplars
-                    .entry(key.clone())
-                    .or_default()
-                    .entry(bucket)
-                    .or_insert(trace);
-                *slot = (*slot).min(trace);
-            }
-        }
-        if let Some(slo) = inner.slos.get_mut(&key) {
-            slo.observe(v);
+        if self.enabled {
+            self.with_hist(name, label, |s| s.observe(v, Some(trace_id)));
         }
     }
 
@@ -349,79 +399,71 @@ impl Telemetry {
     /// under `threshold` seconds. Subsequent observations of that series
     /// feed the tracker; re-registering keeps the accumulated counts.
     pub fn set_slo(&self, name: &'static str, label: &str, threshold: f64, objective: f64) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.with_hist(name, label, |s| s.set_slo(threshold, objective));
         }
-        let mut inner = self.lock();
-        inner
-            .slos
-            .entry((name.to_string(), label.to_string()))
-            .or_insert_with(|| SloStat::new(threshold, objective));
     }
 
     /// Records a candidate entry into the bounded slow-decision log (the
     /// log itself decides retention; see [`crate::slowlog::SlowLog`]).
     pub fn slow_decision(&self, entry: SlowDecision) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            lock(&self.slow).record(entry);
         }
-        self.lock().slow.record(entry);
     }
 
     /// A point-in-time copy of everything recorded so far. Only closed
     /// spans are exported (still-open ones are counted), so a snapshot
     /// taken after the instrumented region is a complete, deterministic
     /// artefact.
+    ///
+    /// Each series is read under its own lock, one after another: a
+    /// counter includes every add that happened before the snapshot
+    /// began, but a snapshot taken while other threads record is not one
+    /// atomic cut across series.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let inner = self.lock();
+        let counters = series(&self.counters)
+            .into_iter()
+            .filter_map(|(n, l, s)| s.total().map(|v| (n, l, v)))
+            .collect();
+        let gauges = series(&self.gauges)
+            .into_iter()
+            .filter_map(|(n, l, s)| s.stat().map(|g| (n, l, g)))
+            .collect();
+        let (mut histograms, mut windows, mut exemplars, mut slos) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for (n, l, s) in series(&self.hists) {
+            let view = s.view();
+            if let Some((h, w)) = view.hist {
+                histograms.push((n.clone(), l.clone(), h));
+                windows.push((n.clone(), l.clone(), w));
+            }
+            if let Some(ex) = view.exemplars {
+                exemplars.push((n.clone(), l.clone(), ex));
+            }
+            if let Some(slo) = view.slo {
+                slos.push((n, l, slo));
+            }
+        }
+        let trace = lock(&self.trace);
         TelemetrySnapshot {
-            clock: self.clock,
-            counters: inner
-                .counters
-                .iter()
-                .map(|((n, l), &v)| (n.clone(), l.clone(), v))
-                .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|((n, l), &g)| (n.clone(), l.clone(), g))
-                .collect(),
-            histograms: inner
-                .hists
-                .iter()
-                .map(|((n, l), h)| (n.clone(), l.clone(), h.clone()))
-                .collect(),
+            clock: self.clock.kind,
+            counters,
+            gauges,
+            histograms,
             window_secs: DEFAULT_WINDOW_SECS,
-            windows: inner
-                .windows
-                .iter()
-                .map(|((n, l), w)| (n.clone(), l.clone(), w.stats()))
-                .collect(),
-            exemplars: inner
-                .exemplars
-                .iter()
-                .map(|((n, l), ex)| {
-                    (
-                        n.clone(),
-                        l.clone(),
-                        ex.iter().map(|(&b, &t)| (b, t)).collect(),
-                    )
-                })
-                .collect(),
-            slos: inner
-                .slos
-                .iter()
-                .map(|((n, l), &s)| (n.clone(), l.clone(), s))
-                .collect(),
-            slow: inner.slow.entries().to_vec(),
-            spans: inner
+            windows,
+            exemplars,
+            slos,
+            slow: lock(&self.slow).entries().to_vec(),
+            spans: trace
                 .spans
                 .iter()
                 .filter(|s| s.end.is_finite())
                 .copied()
                 .collect(),
-            open_spans: inner.open.len(),
-            dropped_spans: inner.dropped_spans,
+            open_spans: trace.open.len(),
+            dropped_spans: trace.dropped,
         }
     }
 }
@@ -673,5 +715,99 @@ mod tests {
         assert!(snap.exemplars.is_empty());
         assert!(snap.slos.is_empty());
         assert!(snap.slow.is_empty());
+    }
+
+    #[test]
+    fn handle_counters_are_exact_across_interleaved_threads_and_drops() {
+        use std::sync::Barrier;
+        const N: u64 = 50_000;
+        let tel = Telemetry::new();
+        let dropped = tel.counter("frames", "");
+        dropped.add(7);
+        let dropped = Mutex::new(Some(dropped));
+        // Three parties: two adders and the dropper. Each adder does half
+        // its adds, the third handle is dropped while both are mid-run,
+        // then the adders finish.
+        let barrier = Barrier::new(3);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let h = tel.counter("frames", "");
+                    for _ in 0..N / 2 {
+                        h.add(1);
+                    }
+                    barrier.wait();
+                    barrier.wait();
+                    for _ in N / 2..N {
+                        h.add(1);
+                    }
+                });
+            }
+            barrier.wait();
+            drop(dropped.lock().unwrap().take());
+            tel.add("frames", 3);
+            barrier.wait();
+        });
+        assert_eq!(tel.snapshot().counter("frames"), Some(2 * N + 7 + 3));
+    }
+
+    #[test]
+    fn string_api_and_handles_record_byte_identical_snapshots() {
+        fn by_name(tel: &Telemetry) {
+            tel.add("frames", 3);
+            tel.add_labeled("rejected", "queue_full", 0);
+            tel.gauge_set("depth", 4.0);
+            tel.set_slo("lat", "", 0.05, 0.99);
+            tel.observe("lat", 0.01);
+            tel.set_time(2.5);
+            tel.observe_traced("lat", "", 0.2, 9);
+            tel.observe_traced("lat", "", 0.2, 4);
+            tel.observe_labeled("stage", "read", 0.003);
+            tel.add("frames", 4);
+            tel.gauge_set("depth", 1.0);
+        }
+        fn by_handle(tel: &Telemetry) {
+            let frames = tel.counter("frames", "");
+            let rejected = tel.counter("rejected", "queue_full");
+            let depth = tel.gauge("depth");
+            let lat = tel.histogram("lat", "");
+            let read = tel.histogram("stage", "read");
+            // Resolved but never recorded into: must not appear.
+            let _idle = (tel.counter("idle", ""), tel.histogram("idle", "x"));
+            frames.add(3);
+            rejected.add(0);
+            depth.set(4.0);
+            tel.set_slo("lat", "", 0.05, 0.99);
+            lat.observe(0.01);
+            tel.set_time(2.5);
+            lat.observe_traced(0.2, Some(9));
+            lat.observe_traced(0.2, Some(4));
+            read.observe(0.003);
+            frames.clone().add(4);
+            depth.set(1.0);
+        }
+        let (a, b) = (
+            Telemetry::with_manual_clock(),
+            Telemetry::with_manual_clock(),
+        );
+        by_name(&a);
+        by_handle(&b);
+        let (a, b) = (a.snapshot(), b.snapshot());
+        assert_eq!(a.to_jsonl(), b.to_jsonl());
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_eq!(b.counter("frames"), Some(7));
+        assert_eq!(b.counter_labeled("rejected", "queue_full"), Some(0));
+        assert_eq!(b.counter("idle"), None);
+    }
+
+    #[test]
+    fn disabled_recorder_hands_out_noop_handles() {
+        let tel = Telemetry::disabled();
+        tel.counter("c", "").add(1);
+        tel.gauge("g").set(1.0);
+        tel.histogram("h", "").observe(1.0);
+        let snap = tel.snapshot();
+        assert!(snap.counters.is_empty() && snap.gauges.is_empty());
+        assert!(snap.histograms.is_empty());
     }
 }
