@@ -12,9 +12,11 @@
 //! The naive baseline routes the *same* pooled entry points through the
 //! retained reference loops via `set_naive_kernels(true)`, so the only
 //! difference measured is the kernel inner loop. Results are written to
-//! `BENCH_kernels.json` at the workspace root.
+//! `--out PATH` (default `BENCH_kernels.json` in the current directory;
+//! `cargo bench` runs benches from the package directory).
 //!
-//! Flags (after `--`): `--smoke` cuts repetitions for CI; with
+//! Flags (after `--`): `--out PATH` names the JSON file; `--smoke` cuts
+//! repetitions for CI; with
 //! `--enforce-floor` the process exits non-zero if the quantized lane is
 //! slower than the exact lane (a sanity floor, deliberately far below
 //! the ~2x speedups a healthy build shows over naive).
@@ -190,6 +192,16 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let enforce_floor = args.iter().any(|a| a == "--enforce-floor");
     let reps = if smoke { 3 } else { 9 };
+    let out = match args.iter().position(|a| a == "--out") {
+        None => "BENCH_kernels.json".to_string(),
+        Some(i) => match args.get(i + 1) {
+            Some(path) => path.clone(),
+            None => {
+                eprintln!("--out needs a path");
+                std::process::exit(2);
+            }
+        },
+    };
 
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -210,13 +222,9 @@ fn main() {
         "{{\"cores\":{cores},\"smoke\":{smoke},\"workers\":1,\"benchmarks\":[{}]}}\n",
         body.join(",")
     );
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
-    let path = root.join("BENCH_kernels.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\ncould not write {}: {e}", path.display()),
+    match std::fs::write(&out, &json) {
+        Ok(()) => println!("\nwrote {out}"),
+        Err(e) => eprintln!("\ncould not write {out}: {e}"),
     }
 
     if enforce_floor {

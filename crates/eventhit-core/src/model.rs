@@ -19,6 +19,7 @@ use eventhit_nn::init::Init;
 use eventhit_nn::lstm::{Lstm, QuantizedLstm};
 use eventhit_nn::matrix::Matrix;
 use eventhit_nn::optimizer::ParamMut;
+use eventhit_nn::packed::{Codes, Scratch, StepRows};
 
 use eventhit_video::records::Record;
 
@@ -89,10 +90,16 @@ impl Encoder {
         }
     }
 
-    fn forward_inference(&self, xs: &[Matrix]) -> Matrix {
+    fn infer<'s>(
+        &self,
+        steps: usize,
+        batch: usize,
+        x: &StepRows<'_>,
+        s: &'s mut Scratch,
+    ) -> &'s [f32] {
         match self {
-            Encoder::Lstm(l) => l.forward_inference(xs),
-            Encoder::Gru(g) => g.forward_inference(xs),
+            Encoder::Lstm(l) => l.infer(steps, batch, x, s),
+            Encoder::Gru(g) => g.infer(steps, batch, x, s),
         }
     }
 
@@ -234,18 +241,12 @@ impl EventHit {
         self.dropout.set_training(training);
     }
 
-    /// Assembles the LSTM input sequence from a batch of records:
-    /// `xs[t]` is the `batch x D` matrix of the `t`-th window frame.
-    fn batch_sequence(&self, records: &[&Record]) -> Vec<Matrix> {
-        batch_sequence(&self.config, records)
-    }
-
     /// Forward pass over a batch of records, caching intermediates for
     /// [`EventHit::backward`]. Returns one `batch x (1 + H)` sigmoid output
     /// per event head.
     pub fn forward(&mut self, records: &[&Record]) -> Vec<Matrix> {
         assert!(!records.is_empty(), "empty batch");
-        let xs = self.batch_sequence(records);
+        let xs = batch_sequence(&self.config, records);
         let h = self.encoder.forward(&xs);
         let z = self.shared_fc.forward(&h);
         let z = self.dropout.forward(&z, &mut self.rng);
@@ -264,15 +265,20 @@ impl EventHit {
     /// shared across threads to score batches in parallel; the arithmetic
     /// matches [`EventHit::forward`] with dropout off, bit for bit.
     pub fn forward_inference(&self, records: &[&Record]) -> Vec<Matrix> {
-        assert!(!records.is_empty(), "empty batch");
-        let xs = self.batch_sequence(records);
-        let h = self.encoder.forward_inference(&xs);
-        let z = self.shared_fc.forward_inference(&h);
-        let concat = z.hcat(&xs[xs.len() - 1]);
-        self.heads
-            .iter()
-            .map(|head| head.forward_inference(&concat))
-            .collect()
+        forward_records(self, records)
+    }
+
+    /// Allocation-free inference: scores `batch` windows of `steps` rows,
+    /// `x(t, r)` being frame `t` of window `r`, into `s` (read the
+    /// results with [`InferScratch::head`]). A caller that keeps one
+    /// scratch per lane allocates nothing per forward. Bit-identical to
+    /// [`EventHit::forward_inference`] on the same windows.
+    ///
+    /// # Panics
+    /// Panics if `steps` is outside `[1, window]` or a row is not
+    /// `input_dim` wide.
+    pub fn infer_into(&self, steps: usize, batch: usize, x: &StepRows<'_>, s: &mut InferScratch) {
+        run_net(self, steps, batch, x, s);
     }
 
     /// Backward pass: `grads[k]` is dL/d(output of head `k`). Accumulates
@@ -304,6 +310,9 @@ impl EventHit {
     /// are unchanged and [`EventHit::forward_inference`] is bit-identical;
     /// [`EventHit::backward`] panics on the result. Serving lanes hold
     /// this form, so each lane costs its weights and no more.
+    ///
+    /// The inference weight packs are built here, so a lane's first
+    /// decision does not pay for them.
     pub fn into_inference(mut self) -> Self {
         self.encoder.drop_training_state();
         self.shared_fc.drop_training_state();
@@ -386,20 +395,169 @@ fn batch_sequence(config: &EventHitConfig, records: &[&Record]) -> Vec<Matrix> {
         .collect()
 }
 
+/// Reusable buffers for [`EventHit::infer_into`] and
+/// [`QuantizedEventHit::infer_into`]: the encoder state, the latent `z`,
+/// the head input `z ⊕ X_n`, and every head's output. Buffers grow to the
+/// largest batch seen and are then reused.
+#[derive(Clone, Debug, Default)]
+pub struct InferScratch {
+    encoder: Scratch,
+    codes: Codes,
+    z: Vec<f32>,
+    concat: Vec<f32>,
+    out: Vec<f32>,
+    batch: usize,
+    width: usize,
+}
+
+impl InferScratch {
+    /// Head `k`'s output of the last forward: `batch x (1 + H)`
+    /// row-major, row `r` being `[b_k, θ_{k,1}, …, θ_{k,H}]` of window `r`.
+    pub fn head(&self, k: usize) -> &[f32] {
+        let len = self.batch * self.width;
+        &self.out[k * len..(k + 1) * len]
+    }
+
+    /// The per-head outputs as matrices (the [`EventHit::forward_inference`]
+    /// shape).
+    fn into_outputs(self, heads: usize) -> Vec<Matrix> {
+        (0..heads)
+            .map(|k| Matrix::from_vec(self.batch, self.width, self.head(k).to_vec()))
+            .collect()
+    }
+}
+
+/// The three inference stages both lanes share, so the window assembly,
+/// `z ⊕ X_n` concatenation and head layout live in one place
+/// ([`run_net`]). `codes` is int8 scratch for the quantized lane.
+trait InferenceNet {
+    fn cfg(&self) -> &EventHitConfig;
+    fn encode<'s>(
+        &self,
+        steps: usize,
+        batch: usize,
+        x: &StepRows<'_>,
+        s: &'s mut Scratch,
+    ) -> &'s [f32];
+    fn shared(&self, h: &[f32], batch: usize, codes: &mut Codes, z: &mut [f32]);
+    fn head(&self, k: usize, concat: &[f32], batch: usize, codes: &mut Codes, out: &mut [f32]);
+}
+
+impl InferenceNet for EventHit {
+    fn cfg(&self) -> &EventHitConfig {
+        &self.config
+    }
+
+    fn encode<'s>(
+        &self,
+        steps: usize,
+        batch: usize,
+        x: &StepRows<'_>,
+        s: &'s mut Scratch,
+    ) -> &'s [f32] {
+        self.encoder.infer(steps, batch, x, s)
+    }
+
+    fn shared(&self, h: &[f32], batch: usize, _: &mut Codes, z: &mut [f32]) {
+        self.shared_fc.infer_rows(h, batch, z);
+    }
+
+    fn head(&self, k: usize, concat: &[f32], batch: usize, _: &mut Codes, out: &mut [f32]) {
+        self.heads[k].infer_rows(concat, batch, out);
+    }
+}
+
+impl InferenceNet for QuantizedEventHit {
+    fn cfg(&self) -> &EventHitConfig {
+        &self.config
+    }
+
+    fn encode<'s>(
+        &self,
+        steps: usize,
+        batch: usize,
+        x: &StepRows<'_>,
+        s: &'s mut Scratch,
+    ) -> &'s [f32] {
+        match &self.encoder {
+            QuantizedEncoder::Lstm(l) => l.infer(steps, batch, x, s),
+            QuantizedEncoder::Gru(g) => g.infer(steps, batch, x, s),
+        }
+    }
+
+    fn shared(&self, h: &[f32], batch: usize, codes: &mut Codes, z: &mut [f32]) {
+        self.shared_fc.infer_rows(h, batch, codes, z);
+    }
+
+    fn head(&self, k: usize, concat: &[f32], batch: usize, codes: &mut Codes, out: &mut [f32]) {
+        self.heads[k].infer_rows(concat, batch, codes, out);
+    }
+}
+
+/// The inference forward of either lane: encoder over the window, shared
+/// layer to `z`, then every head on `z ⊕ X_n` (the window's last frame).
+fn run_net(
+    net: &impl InferenceNet,
+    steps: usize,
+    batch: usize,
+    x: &StepRows<'_>,
+    s: &mut InferScratch,
+) {
+    let cfg = net.cfg();
+    assert!(
+        steps >= 1 && steps <= cfg.window,
+        "window length {steps} outside [1, {}]",
+        cfg.window
+    );
+    let (sd, width, heads) = (cfg.shared_dim, 1 + cfg.horizon, cfg.num_events);
+    let h = net.encode(steps, batch, x, &mut s.encoder);
+    reset(&mut s.z, batch * sd);
+    net.shared(h, batch, &mut s.codes, &mut s.z);
+    s.concat.clear();
+    for r in 0..batch {
+        s.concat.extend_from_slice(&s.z[r * sd..(r + 1) * sd]);
+        s.concat.extend_from_slice(x(steps - 1, r));
+    }
+    reset(&mut s.out, heads * batch * width);
+    let len = batch * width;
+    for k in 0..heads {
+        let out = &mut s.out[k * len..(k + 1) * len];
+        net.head(k, &s.concat, batch, &mut s.codes, out);
+    }
+    (s.batch, s.width) = (batch, width);
+}
+
+/// Resets `buf` to `len` zeros, reusing its allocation.
+fn reset(buf: &mut Vec<f32>, len: usize) {
+    buf.clear();
+    buf.resize(len, 0.0);
+}
+
+/// [`EventHit::forward_inference`] for either lane: checks the records'
+/// window shapes and scores them straight from their covariates.
+fn forward_records(net: &impl InferenceNet, records: &[&Record]) -> Vec<Matrix> {
+    let cfg = net.cfg();
+    assert!(!records.is_empty(), "empty batch");
+    let m = records[0].covariates.rows();
+    for r in records {
+        assert_eq!(
+            r.covariates.shape(),
+            (m, cfg.input_dim),
+            "record covariates must be {m}x{} (uniform per batch)",
+            cfg.input_dim
+        );
+    }
+    let mut s = InferScratch::default();
+    let rows = |t: usize, r: usize| records[r].covariates.row(t);
+    run_net(net, m, records.len(), &rows, &mut s);
+    s.into_outputs(cfg.num_events)
+}
+
 /// The quantized recurrent encoder, mirroring [`Encoder`].
 #[derive(Clone)]
 enum QuantizedEncoder {
     Lstm(QuantizedLstm),
     Gru(QuantizedGru),
-}
-
-impl QuantizedEncoder {
-    fn forward(&self, xs: &[Matrix]) -> Matrix {
-        match self {
-            QuantizedEncoder::Lstm(l) => l.forward(xs),
-            QuantizedEncoder::Gru(g) => g.forward(xs),
-        }
-    }
 }
 
 /// An int8-weight snapshot of a trained [`EventHit`]: the quantized
@@ -424,18 +582,20 @@ impl QuantizedEventHit {
 
     /// Quantized inference forward pass, mirroring
     /// [`EventHit::forward_inference`]: one `batch x (1 + H)` sigmoid
-    /// output per event head. Pure `&self` and sequential per batch, so
+    /// output per event head. Pure `&self`; integer sums are exact, so
     /// results are bit-identical across worker counts.
     pub fn forward_inference(&self, records: &[&Record]) -> Vec<Matrix> {
-        assert!(!records.is_empty(), "empty batch");
-        let xs = batch_sequence(&self.config, records);
-        let h = self.encoder.forward(&xs);
-        let z = self.shared_fc.forward(&h);
-        let concat = z.hcat(&xs[xs.len() - 1]);
-        self.heads
-            .iter()
-            .map(|head| head.forward(&concat))
-            .collect()
+        forward_records(self, records)
+    }
+
+    /// Allocation-free quantized inference, the int8 form of
+    /// [`EventHit::infer_into`].
+    ///
+    /// # Panics
+    /// Panics if `steps` is outside `[1, window]` or a row is not
+    /// `input_dim` wide.
+    pub fn infer_into(&self, steps: usize, batch: usize, x: &StepRows<'_>, s: &mut InferScratch) {
+        run_net(self, steps, batch, x, s);
     }
 }
 
@@ -503,6 +663,61 @@ mod tests {
             assert!(lean.params_mut().iter().all(|p| p.grad.is_empty()));
             assert_eq!(crate::model_io::fingerprint(&mut lean), fp);
             assert_eq!(lean.forward_inference(&[&r1]), expected);
+        }
+    }
+
+    #[test]
+    fn inference_packs_never_outlive_the_weights() {
+        // `a` builds its packs, then takes `b`'s weights through
+        // `params_mut` — the path `model_io::load` and every optimizer
+        // step write through. Its next inference must be `b`'s, and a
+        // clone taken before the copy must still score `a`'s weights.
+        for kind in [EncoderKind::Lstm, EncoderKind::Gru] {
+            let mut a = EventHit::with_encoder(tiny_config(), kind, 10).into_inference();
+            let mut b = EventHit::with_encoder(tiny_config(), kind, 11);
+            let (r1, r2) = (record(5, 4, 0.2), record(5, 4, -0.6));
+            let before = a.forward_inference(&[&r1, &r2]);
+            let snapshot = a.clone();
+            let fresh: Vec<Matrix> = b.params_mut().iter().map(|p| p.value.clone()).collect();
+            for (p, v) in a.params_mut().into_iter().zip(&fresh) {
+                p.value.as_mut_slice().copy_from_slice(v.as_slice());
+            }
+            let want = b.forward_inference(&[&r1, &r2]);
+            assert_ne!(before, want);
+            assert_eq!(a.forward_inference(&[&r1, &r2]), want);
+            assert_eq!(snapshot.forward_inference(&[&r1, &r2]), before);
+
+            let mut bytes = Vec::new();
+            crate::model_io::save(&mut a, &mut bytes).unwrap();
+            let loaded = crate::model_io::load(&mut bytes.as_slice()).unwrap();
+            assert_eq!(loaded.forward_inference(&[&r1, &r2]), want);
+        }
+    }
+
+    #[test]
+    fn scratch_inference_matches_batch_inference() {
+        // One reused scratch across window lengths and batch sizes gives
+        // exactly the batch entry point's outputs, on both lanes.
+        let model = EventHit::new(tiny_config(), 12);
+        let quantized = model.quantized();
+        let mut scratch = InferScratch::default();
+        let mut qscratch = InferScratch::default();
+        for (m, batch) in [(5usize, 3usize), (2, 1), (5, 1), (1, 4)] {
+            let records: Vec<Record> = (0..batch)
+                .map(|i| record(m, 4, 0.1 * i as f32 - 0.3))
+                .collect();
+            let refs: Vec<&Record> = records.iter().collect();
+            let rows = |t: usize, r: usize| records[r].covariates.row(t);
+            model.infer_into(m, batch, &rows, &mut scratch);
+            quantized.infer_into(m, batch, &rows, &mut qscratch);
+            let (exact, quant) = (
+                model.forward_inference(&refs),
+                quantized.forward_inference(&refs),
+            );
+            for k in 0..2 {
+                assert_eq!(scratch.head(k), exact[k].as_slice(), "m={m} batch={batch}");
+                assert_eq!(qscratch.head(k), quant[k].as_slice(), "m={m} batch={batch}");
+            }
         }
     }
 

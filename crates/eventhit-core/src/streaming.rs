@@ -21,11 +21,11 @@ use eventhit_nn::matrix::Matrix;
 use eventhit_nn::quant::InferenceLane;
 use eventhit_telemetry::{fnv1a, Counter, Gauge, Histogram, Telemetry};
 use eventhit_video::online::WindowBuffer;
-use eventhit_video::records::{EventLabel, Record};
+use eventhit_video::records::EventLabel;
 
 use crate::error::{CoreError, CoreResult};
-use crate::infer::{score_records, scored_from_outputs, IntervalPrediction, ScoredRecord};
-use crate::model::{EventHit, QuantizedEventHit};
+use crate::infer::{EventScores, IntervalPrediction, ScoredRecord};
+use crate::model::{EventHit, EventHitConfig, InferScratch, QuantizedEventHit};
 use crate::pipeline::{ConformalState, Strategy};
 use crate::resilient::{BreakerState, DegradationTag, ResilientCiClient};
 use crate::sampling::{Sampler, SamplingPolicy, HIT_TAU1};
@@ -141,6 +141,11 @@ pub struct OnlinePredictor {
     /// serving layer sets it per traced batch). Not part of the exported
     /// predictor state: tracing never influences decisions or replay.
     trace: Option<u64>,
+    /// The lane's inference buffers: an anchor scores its window straight
+    /// from `buffer` into these, so scoring allocates nothing.
+    scratch: InferScratch,
+    /// The last scored anchor's scores, overwritten in place.
+    scored: ScoredRecord,
 }
 
 /// The predictor's `stream.*` series, resolved once in
@@ -179,7 +184,22 @@ impl StreamMetrics {
     }
 }
 
-/// The duplicate-carry memo of the last scored anchor.
+/// A zeroed score record of the model's shape, reused across anchors.
+fn blank_scored(cfg: &EventHitConfig, events: usize) -> ScoredRecord {
+    ScoredRecord {
+        anchor: 0,
+        scores: (0..cfg.num_events)
+            .map(|_| EventScores {
+                b: 0.0,
+                theta: vec![0.0; cfg.horizon],
+            })
+            .collect(),
+        labels: vec![EventLabel::absent(); events],
+    }
+}
+
+/// The duplicate-carry memo of the last scored anchor (gating policies
+/// only: `Fixed` never carries).
 struct CarriedAnchor {
     predictions: Vec<IntervalPrediction>,
     /// `max_k b_k >= HIT_TAU1` of the scored window (feeds the adaptive
@@ -233,6 +253,7 @@ impl OnlinePredictor {
         policy: SamplingPolicy,
     ) -> Self {
         let cfg = model.config().clone();
+        let state_events = state.num_events();
         let quantized = match lane {
             InferenceLane::Exact => None,
             InferenceLane::Quantized => Some(model.quantized()),
@@ -255,6 +276,8 @@ impl OnlinePredictor {
             strategy,
             metrics: None,
             trace: None,
+            scratch: InferScratch::default(),
+            scored: blank_scored(&cfg, state_events),
         }
     }
 
@@ -406,6 +429,7 @@ impl OnlinePredictor {
             InferenceLane::Exact => None,
             InferenceLane::Quantized => Some(model.quantized()),
         };
+        self.scored = blank_scored(model.config(), state.num_events());
         self.model = model.into_inference();
         self.state = state;
         Ok(())
@@ -435,19 +459,24 @@ impl OnlinePredictor {
         self.trace = trace;
     }
 
-    /// Scores one record on the predictor's lane. The quantized lane uses
-    /// the snapshot built at construction, so the per-frame cost is the
-    /// int8 forward alone.
-    fn score_one(&self, record: &Record) -> ScoredRecord {
+    /// Scores the newest `m` buffered frames as the window of `anchor` on
+    /// the predictor's lane into `self.scored`, reading the rows straight
+    /// from the buffer through the lane's scratch (no window copy, no
+    /// allocation). The quantized lane uses the snapshot built at
+    /// construction, so the per-anchor cost is the int8 forward alone.
+    fn score_window(&mut self, anchor: u64, m: usize) {
+        let skip = self.buffer.window() - m;
+        let buffer = &self.buffer;
+        let rows = |t: usize, _: usize| buffer.frame(skip + t);
         match &self.quantized {
-            None => {
-                let mut scored = score_records(&self.model, std::slice::from_ref(record), 1);
-                scored.remove(0)
-            }
-            Some(q) => {
-                let outputs = q.forward_inference(&[record]);
-                scored_from_outputs(&outputs, 0, record)
-            }
+            None => self.model.infer_into(m, 1, &rows, &mut self.scratch),
+            Some(q) => q.infer_into(m, 1, &rows, &mut self.scratch),
+        }
+        self.scored.anchor = anchor;
+        for (k, scores) in self.scored.scores.iter_mut().enumerate() {
+            let (b, theta) = self.scratch.head(k).split_first().expect("1 + H outputs");
+            scores.b = f64::from(*b);
+            scores.theta.copy_from_slice(theta);
         }
     }
 
@@ -491,8 +520,9 @@ impl OnlinePredictor {
         let anchor = self.stream_pos - 1;
         let m = self.sampler.window_len();
         let gated = !self.sampler.policy().is_fixed();
-        // Under the Fixed policy skip building the candidate window until
-        // the Record needs it — there is never a memo to drift against.
+        // Only gating policies copy the candidate window out: it is what
+        // the carry memo drifts against. Fixed scores the buffer in place
+        // and keeps no memo.
         let candidate = gated.then(|| self.buffer.covariates_last(m));
         let carried = match (&candidate, &self.carry, self.sampler.policy().gate()) {
             (Some(cand), Some(c), Some(g)) if c.m == m => {
@@ -501,34 +531,31 @@ impl OnlinePredictor {
             _ => false,
         };
         let mut scored_at = None;
-        if carried {
-            self.carry.as_mut().expect("carried implies memo").run += 1;
+        let (predictions, hit) = if carried {
+            let memo = self.carry.as_mut().expect("carried implies memo");
+            memo.run += 1;
+            (memo.predictions.clone(), memo.hit)
         } else {
-            let covariates = candidate.unwrap_or_else(|| self.buffer.covariates_last(m));
-            let record = Record {
-                anchor,
-                covariates,
-                labels: vec![EventLabel::absent(); self.state.num_events()],
-            };
-            let scored = self.score_one(&record);
+            self.score_window(anchor, m);
             scored_at = self.metrics.as_ref().map(|m| m.tel.now());
-            let hit = scored.scores.iter().any(|s| s.b >= HIT_TAU1);
-            let predictions = self.state.predict(&scored, &self.strategy);
-            self.carry = Some(CarriedAnchor {
-                predictions,
-                hit,
-                m,
-                covariates: record.covariates,
-                run: 0,
-            });
-        }
-        let memo = self.carry.as_ref().expect("anchor scored or carried");
+            let hit = self.scored.scores.iter().any(|s| s.b >= HIT_TAU1);
+            let predictions = self.state.predict(&self.scored, &self.strategy);
+            if let Some(covariates) = candidate {
+                self.carry = Some(CarriedAnchor {
+                    predictions: predictions.clone(),
+                    hit,
+                    m,
+                    covariates,
+                    run: 0,
+                });
+            }
+            (predictions, hit)
+        };
         let decision = HorizonDecision {
             anchor,
-            predictions: memo.predictions.clone(),
+            predictions,
             degradation: DegradationTag::None,
         };
-        let hit = memo.hit;
         self.sampler.observe_hit(hit);
         if let (Some(t), Some(t0)) = (&self.metrics, started) {
             t.decisions.add(1);
@@ -785,6 +812,80 @@ mod tests {
             cfg_a.num_events,
         ) {
             assert!(q.reload_model(run_small.model, run_small.state).is_err());
+        }
+    }
+
+    #[test]
+    fn reload_model_scores_on_the_new_weights() {
+        // After a hot swap the predictor's decisions are the new model's:
+        // identical to a predictor that ran it from the first frame (no
+        // state is carried between anchors), so the old weight packs
+        // cannot leak across the swap.
+        let strategy = Strategy::Ehcr { c: 0.9, alpha: 0.5 };
+        let run_a = TaskRun::execute(&task("TA10").unwrap(), &ExperimentConfig::quick(65));
+        let run_b = TaskRun::execute(&task("TA10").unwrap(), &ExperimentConfig::quick(66));
+        let features = run_a.features.clone();
+        let n = (run_a.window + run_a.horizon * 6).min(features.rows());
+        let swap_at = run_a.window + run_a.horizon + 1;
+
+        let mut swapped = OnlinePredictor::new(run_a.model.clone(), run_a.state.clone(), strategy);
+        let mut fresh = OnlinePredictor::new(run_b.model.clone(), run_b.state.clone(), strategy);
+        let (mut after_swap, mut reference) = (Vec::new(), Vec::new());
+        for r in 0..n {
+            if r == swap_at {
+                swapped
+                    .reload_model(run_b.model.clone(), run_b.state.clone())
+                    .unwrap();
+            }
+            let d = swapped.push_frame(features.row(r).to_vec());
+            let want = fresh.push_frame(features.row(r).to_vec());
+            if r >= swap_at {
+                after_swap.extend(d.map(|d| (d, swapped.scored.scores.clone())));
+                reference.extend(want.map(|d| (d, fresh.scored.scores.clone())));
+            }
+        }
+        assert!(after_swap.len() >= 3);
+        assert_eq!(after_swap, reference);
+    }
+
+    #[test]
+    fn anchor_scores_match_the_batch_scorer_on_both_lanes() {
+        // The anchor scores its window straight from the ring buffer; the
+        // result must be bit-identical to scoring the same window as a
+        // record through `score_records_lane`.
+        use crate::infer::score_records_lane;
+        use eventhit_video::records::Record;
+        let strategy = Strategy::Ehcr { c: 0.9, alpha: 0.5 };
+        let run = TaskRun::execute(&task("TA10").unwrap(), &ExperimentConfig::quick(68));
+        let (window, features) = (run.window, run.features.clone());
+        let n = (window + run.horizon * 4).min(features.rows());
+        for lane in [InferenceLane::Exact, InferenceLane::Quantized] {
+            let mut p = OnlinePredictor::with_lane(
+                run.model.clone(),
+                run.state_for_lane(lane),
+                strategy,
+                lane,
+            );
+            let mut anchors = 0;
+            for r in 0..n {
+                let Some(d) = p.push_frame(features.row(r).to_vec()) else {
+                    continue;
+                };
+                let first = d.anchor as usize + 1 - window;
+                let rec = Record {
+                    anchor: d.anchor,
+                    covariates: Matrix::from_rows(
+                        &(first..=d.anchor as usize)
+                            .map(|i| features.row(i).to_vec())
+                            .collect::<Vec<_>>(),
+                    ),
+                    labels: vec![EventLabel::absent(); run.state.num_events()],
+                };
+                let want = score_records_lane(&run.model, &[rec], 1, lane).remove(0);
+                assert_eq!(p.scored.scores, want.scores, "{lane} anchor {}", d.anchor);
+                anchors += 1;
+            }
+            assert!(anchors >= 3);
         }
     }
 

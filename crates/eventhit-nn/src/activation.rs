@@ -76,6 +76,20 @@ impl Activation {
         }
     }
 
+    /// Applies the activation elementwise in place — the same scalar
+    /// function as [`Activation::apply`], so the bits agree.
+    pub fn apply_in_place(self, v: &mut [f32]) {
+        let f = match self {
+            Activation::Linear => return,
+            Activation::Sigmoid => sigmoid,
+            Activation::Tanh => tanh,
+            Activation::Relu => relu,
+        };
+        for x in v {
+            *x = f(*x);
+        }
+    }
+
     /// Elementwise derivative for backprop.
     ///
     /// `pre` is the pre-activation input, `out` the activation output; both

@@ -4,19 +4,23 @@ use eventhit_rng::Rng;
 
 use crate::activation::Activation;
 use crate::init::Init;
-use crate::matrix::Matrix;
+use crate::matrix::{naive_kernels_forced, Matrix};
 use crate::optimizer::ParamMut;
-use crate::quant::{affine_t_quant, QuantizedMatrix};
+use crate::packed::{affine_batch, affine_rows_quant, Codes, PackCache, Packed, PackedQuant};
 
 /// A fully connected layer `y = act(x W^T + b)`.
 ///
 /// Weights are stored `out x in` (row `j` holds the weights of output
 /// unit `j`), so the forward pass is `x.matmul_t(&w)` on a batch matrix
-/// `x: batch x in`.
+/// `x: batch x in`. Inference runs on a k-major copy of `W` (see
+/// [`crate::packed`]), built on first use and dropped whenever
+/// [`Dense::weights_mut`] or [`Dense::params_mut`] hands out the weights.
 #[derive(Clone)]
 pub struct Dense {
     w: Matrix,
     b: Matrix,
+    /// k-major pack of `w` for the inference kernels.
+    pack: PackCache<Packed>,
     dw: Matrix,
     db: Matrix,
     act: Activation,
@@ -40,6 +44,7 @@ impl Dense {
         Dense {
             w: init.matrix(output, input, rng),
             b: Matrix::zeros(1, output),
+            pack: PackCache::default(),
             dw: Matrix::zeros(output, input),
             db: Matrix::zeros(1, output),
             act,
@@ -65,7 +70,9 @@ impl Dense {
     }
 
     /// Mutable access to the weight matrix, for tests and serialization.
+    /// Drops the inference pack, which the next inference forward rebuilds.
     pub fn weights_mut(&mut self) -> &mut Matrix {
+        self.pack.clear();
         &mut self.w
     }
 
@@ -74,7 +81,8 @@ impl Dense {
         &self.b
     }
 
-    /// Mutable access to the bias row vector.
+    /// Mutable access to the bias row vector (the bias is read directly,
+    /// never packed).
     pub fn bias_mut(&mut self) -> &mut Matrix {
         &mut self.b
     }
@@ -104,9 +112,36 @@ impl Dense {
 
     /// Forward pass without caching (no backprop possible). Pure `&self`,
     /// so a trained layer can be shared across threads for parallel
-    /// inference; the arithmetic is identical to [`Dense::forward`].
+    /// inference; bit-identical to [`Dense::forward`].
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        self.act.apply(&self.affine(x))
+        assert_eq!(x.cols(), self.input_dim(), "dense input dim mismatch");
+        let mut out = Matrix::zeros(x.rows(), self.output_dim());
+        self.infer_rows(x.as_slice(), x.rows(), out.as_mut_slice());
+        out
+    }
+
+    /// Allocation-free inference over `batch` row-major input rows `x`
+    /// (`batch x in`) into `out` (`batch x out`). Runs the packed kernel,
+    /// or the retained naive row-dot while
+    /// [`set_naive_kernels`](crate::matrix::set_naive_kernels) is on;
+    /// work past [`PAR_THRESHOLD`](crate::matrix::PAR_THRESHOLD) is
+    /// row-blocked across the ambient pool. Every path is bit-identical.
+    ///
+    /// # Panics
+    /// Panics if `x` or `out` is not `batch` rows of the layer's shape.
+    pub fn infer_rows(&self, x: &[f32], batch: usize, out: &mut [f32]) {
+        let (n_in, n_out) = (self.input_dim(), self.output_dim());
+        assert_eq!(x.len(), batch * n_in, "dense input dim mismatch");
+        assert_eq!(out.len(), batch * n_out, "dense output shape mismatch");
+        let packed = (!naive_kernels_forced()).then(|| self.packed());
+        let rows = |r: usize| &x[r * n_in..(r + 1) * n_in];
+        affine_batch(&rows, &self.w, packed, self.b.as_slice(), out);
+        self.act.apply_in_place(out);
+    }
+
+    /// The k-major inference pack of the weights, built on first use.
+    fn packed(&self) -> &Packed {
+        self.pack.get(|| Packed::pack(&self.w))
     }
 
     /// Snapshots the layer onto the int8 fast lane (see
@@ -114,8 +149,8 @@ impl Dense {
     /// the returned layer is immutable and cheap to clone.
     pub fn quantized(&self) -> QuantizedDense {
         QuantizedDense {
-            qw: QuantizedMatrix::quantize(&self.w),
-            b: self.b.clone(),
+            qw: PackedQuant::quantize(&self.w),
+            b: self.b.as_slice().to_vec(),
             act: self.act,
         }
     }
@@ -152,13 +187,15 @@ impl Dense {
         dpre.matmul(&self.w)
     }
 
-    /// Frees the forward caches and the gradient buffers, leaving an
-    /// inference-only layer: [`Dense::forward_inference`] is unchanged,
-    /// but a later `backward` panics.
+    /// Frees the forward caches and the gradient buffers and builds the
+    /// inference pack, leaving an inference-only layer:
+    /// [`Dense::forward_inference`] is unchanged, but a later `backward`
+    /// panics.
     pub fn drop_training_state(&mut self) {
         (self.cache_x, self.cache_pre, self.cache_out) = (None, None, None);
         self.dw = Matrix::zeros(0, 0);
         self.db = Matrix::zeros(0, 0);
+        self.packed();
     }
 
     /// Zeros the accumulated gradients.
@@ -168,8 +205,9 @@ impl Dense {
     }
 
     /// Yields `(parameter, gradient)` pairs for the optimizer, in a stable
-    /// order.
+    /// order. Drops the inference pack.
     pub fn params_mut(&mut self) -> Vec<ParamMut<'_>> {
+        self.pack.clear();
         vec![
             ParamMut {
                 value: &mut self.w,
@@ -184,31 +222,48 @@ impl Dense {
 }
 
 /// An int8-weight snapshot of a [`Dense`] layer: the quantized inference
-/// fast lane (`y = act(x Wq^T + b)` with f32 accumulation).
+/// fast lane (`y = act(x Wq^T + b)` with exact `i32` accumulation), its
+/// codes packed k-major.
 #[derive(Clone)]
 pub struct QuantizedDense {
-    qw: QuantizedMatrix,
-    b: Matrix,
+    qw: PackedQuant,
+    b: Vec<f32>,
     act: Activation,
 }
 
 impl QuantizedDense {
     /// Input dimensionality.
     pub fn input_dim(&self) -> usize {
-        self.qw.cols()
+        self.qw.inputs()
     }
 
     /// Output dimensionality.
     pub fn output_dim(&self) -> usize {
-        self.qw.rows()
+        self.qw.outputs()
     }
 
-    /// Quantized forward pass (`x: batch x in`). Pure `&self` and
-    /// sequential, so results are bit-identical across worker counts.
+    /// Quantized forward pass (`x: batch x in`). Pure `&self`; integer
+    /// sums are exact, so results are bit-identical across worker counts.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.input_dim(), "dense input dim mismatch");
-        self.act
-            .apply(&affine_t_quant(x, &self.qw, self.b.as_slice()))
+        let mut out = Matrix::zeros(x.rows(), self.output_dim());
+        let mut codes = Codes::default();
+        self.infer_rows(x.as_slice(), x.rows(), &mut codes, out.as_mut_slice());
+        out
+    }
+
+    /// Allocation-free quantized inference over `batch` row-major input
+    /// rows `x` into `out`; `codes` holds the rows' int8 codes.
+    ///
+    /// # Panics
+    /// Panics if `x` or `out` is not `batch` rows of the layer's shape.
+    pub fn infer_rows(&self, x: &[f32], batch: usize, codes: &mut Codes, out: &mut [f32]) {
+        let (n_in, n_out) = (self.input_dim(), self.output_dim());
+        assert_eq!(x.len(), batch * n_in, "dense input dim mismatch");
+        assert_eq!(out.len(), batch * n_out, "dense output shape mismatch");
+        let rows = |r: usize| &x[r * n_in..(r + 1) * n_in];
+        affine_rows_quant(rows, &self.qw, &self.b, codes, out);
+        self.act.apply_in_place(out);
     }
 }
 

@@ -11,15 +11,20 @@
 //! h_t = (1 - z_t) ⊙ n_t + z_t ⊙ h_{t-1}
 //! ```
 //!
-//! Fused weights are laid out `[r | z | n]` along the rows.
+//! Fused weights are laid out `[r | z | n]` along the rows. Inference
+//! ([`Gru::infer`]) runs on k-major copies of `wx`/`wh` (see
+//! [`crate::packed`]) with one fused cell pass per step.
 
 use eventhit_rng::Rng;
 
 use crate::activation::{sigmoid, tanh};
 use crate::init::Init;
-use crate::matrix::Matrix;
+use crate::matrix::{naive_kernels_forced, Matrix};
 use crate::optimizer::ParamMut;
-use crate::quant::{affine_t_quant, QuantizedMatrix};
+use crate::packed::{
+    affine_batch, affine_rows_quant, check_sequence, zeroed, PackCache, Packed, PackedQuant,
+    Scratch, StepRows,
+};
 
 /// Per-timestep forward cache needed by BPTT.
 #[derive(Clone)]
@@ -42,6 +47,8 @@ pub struct Gru {
     wh: Matrix,
     bx: Matrix,
     bh: Matrix,
+    /// k-major packs of `[wx, wh]` for the inference kernels.
+    pack: PackCache<[Packed; 2]>,
     dwx: Matrix,
     dwh: Matrix,
     dbx: Matrix,
@@ -75,6 +82,7 @@ impl Gru {
             wh: Init::XavierUniform.matrix(3 * hidden_dim, hidden_dim, rng),
             bx: Matrix::zeros(1, 3 * hidden_dim),
             bh: Matrix::zeros(1, 3 * hidden_dim),
+            pack: PackCache::default(),
             dwx: Matrix::zeros(3 * hidden_dim, input_dim),
             dwh: Matrix::zeros(3 * hidden_dim, hidden_dim),
             dbx: Matrix::zeros(1, 3 * hidden_dim),
@@ -123,17 +131,62 @@ impl Gru {
     }
 
     /// Inference-only forward (no caching). Pure `&self`, so a trained
-    /// layer can be shared across threads for parallel inference; the
-    /// step arithmetic is shared with [`Gru::forward`], so the two are
-    /// bit-identical.
+    /// layer can be shared across threads for parallel inference;
+    /// bit-identical to [`Gru::forward`] (see [`Gru::infer`]).
     pub fn forward_inference(&self, xs: &[Matrix]) -> Matrix {
-        assert!(!xs.is_empty(), "GRU requires at least one timestep");
-        let batch = xs[0].rows();
-        let mut h = Matrix::zeros(batch, self.hidden_dim);
-        for x in xs {
-            h = self.step(x, &h).4;
+        let batch = check_sequence(xs, self.input_dim);
+        let mut s = Scratch::default();
+        self.infer(xs.len(), batch, &|t, r| xs[t].row(r), &mut s);
+        Matrix::from_vec(batch, self.hidden_dim, std::mem::take(&mut s.h))
+    }
+
+    /// Allocation-free inference over `steps` timesteps of `batch` rows,
+    /// `x(t, r)` being row `r` of step `t`; returns the final hidden
+    /// state (`batch x hidden_dim`, row-major) borrowed from `s`.
+    ///
+    /// Each step computes both `[r|z|n]` affine maps per row with the
+    /// packed kernel (the naive row-dot while
+    /// [`set_naive_kernels`](crate::matrix::set_naive_kernels) is on),
+    /// row-blocked past [`PAR_THRESHOLD`](crate::matrix::PAR_THRESHOLD),
+    /// then one fused cell pass. Bit-identical to [`Gru::forward`].
+    ///
+    /// # Panics
+    /// Panics if `steps` is zero or a row is not `input_dim` wide.
+    pub fn infer<'s>(
+        &self,
+        steps: usize,
+        batch: usize,
+        x: &StepRows<'_>,
+        s: &'s mut Scratch,
+    ) -> &'s [f32] {
+        assert!(steps > 0, "GRU requires at least one timestep");
+        let (d, hd) = (self.input_dim, self.hidden_dim);
+        let g3 = 3 * hd;
+        zeroed(&mut s.h, batch * hd);
+        zeroed(&mut s.gates, batch * g3);
+        zeroed(&mut s.ph, batch * g3);
+        let packs = (!naive_kernels_forced()).then(|| self.packed());
+        for t in 0..steps {
+            let xr = |r: usize| {
+                let x = x(t, r);
+                assert_eq!(x.len(), d, "GRU input dim mismatch");
+                x
+            };
+            let wx = packs.map(|[wx, _]| wx);
+            affine_batch(&xr, &self.wx, wx, self.bx.as_slice(), &mut s.gates);
+            let h = &s.h;
+            let wh = packs.map(|[_, wh]| wh);
+            let hr = |r: usize| &h[r * hd..(r + 1) * hd];
+            affine_batch(&hr, &self.wh, wh, self.bh.as_slice(), &mut s.ph);
+            gru_cell(&s.gates, &s.ph, &mut s.h, hd);
         }
-        h
+        &s.h
+    }
+
+    /// The k-major inference packs of `[wx, wh]`, built on first use.
+    fn packed(&self) -> &[Packed; 2] {
+        self.pack
+            .get(|| [Packed::pack(&self.wx), Packed::pack(&self.wh)])
     }
 
     /// One timestep of gate arithmetic: returns `(r, z, n, hn_pre, h_new)`.
@@ -228,21 +281,23 @@ impl Gru {
         QuantizedGru {
             input_dim: self.input_dim,
             hidden_dim: self.hidden_dim,
-            qwx: QuantizedMatrix::quantize(&self.wx),
-            qwh: QuantizedMatrix::quantize(&self.wh),
-            bx: self.bx.clone(),
-            bh: self.bh.clone(),
+            qwx: PackedQuant::quantize(&self.wx),
+            qwh: PackedQuant::quantize(&self.wh),
+            bx: self.bx.as_slice().to_vec(),
+            bh: self.bh.as_slice().to_vec(),
         }
     }
 
-    /// Frees the BPTT cache and the gradient buffers, leaving an
-    /// inference-only layer: [`Gru::forward_inference`] is unchanged,
-    /// but a later `backward` panics.
+    /// Frees the BPTT cache and the gradient buffers and builds the
+    /// inference packs, leaving an inference-only layer:
+    /// [`Gru::forward_inference`] is unchanged, but a later `backward`
+    /// panics.
     pub fn drop_training_state(&mut self) {
         self.cache = Vec::new();
         for g in [&mut self.dwx, &mut self.dwh, &mut self.dbx, &mut self.dbh] {
             *g = Matrix::zeros(0, 0);
         }
+        self.packed();
     }
 
     /// Zeros the accumulated gradients.
@@ -253,8 +308,10 @@ impl Gru {
         self.dbh.fill_zero();
     }
 
-    /// Yields `(parameter, gradient)` pairs for the optimizer.
+    /// Yields `(parameter, gradient)` pairs for the optimizer. Drops the
+    /// inference packs.
     pub fn params_mut(&mut self) -> Vec<ParamMut<'_>> {
+        self.pack.clear();
         vec![
             ParamMut {
                 value: &mut self.wx,
@@ -278,16 +335,16 @@ impl Gru {
 
 /// An int8-weight snapshot of a [`Gru`]: the quantized inference fast
 /// lane. Same gate arithmetic as [`Gru::forward_inference`], but the
-/// `[r|z|n]` affine passes run against `i8` weights with f32
-/// accumulation.
+/// `[r|z|n]` affine passes run against k-major `i8` weights with exact
+/// `i32` accumulation.
 #[derive(Clone)]
 pub struct QuantizedGru {
     input_dim: usize,
     hidden_dim: usize,
-    qwx: QuantizedMatrix,
-    qwh: QuantizedMatrix,
-    bx: Matrix,
-    bh: Matrix,
+    qwx: PackedQuant,
+    qwh: PackedQuant,
+    bx: Vec<f32>,
+    bh: Vec<f32>,
 }
 
 impl QuantizedGru {
@@ -302,36 +359,70 @@ impl QuantizedGru {
     }
 
     /// Quantized inference over a sequence; returns the final hidden
-    /// state. Pure `&self` and sequential, so results are bit-identical
-    /// across worker counts.
+    /// state. Pure `&self`; integer sums are exact, so results are
+    /// bit-identical across worker counts.
     pub fn forward(&self, xs: &[Matrix]) -> Matrix {
-        assert!(!xs.is_empty(), "GRU requires at least one timestep");
-        let batch = xs[0].rows();
+        let batch = check_sequence(xs, self.input_dim);
+        let mut s = Scratch::default();
+        self.infer(xs.len(), batch, &|t, r| xs[t].row(r), &mut s);
+        Matrix::from_vec(batch, self.hidden_dim, std::mem::take(&mut s.h))
+    }
+
+    /// Allocation-free quantized inference, the int8 form of
+    /// [`Gru::infer`]: same inputs, same fused cell pass, same row-blocking.
+    ///
+    /// # Panics
+    /// Panics if `steps` is zero or a row is not `input_dim` wide.
+    pub fn infer<'s>(
+        &self,
+        steps: usize,
+        batch: usize,
+        x: &StepRows<'_>,
+        s: &'s mut Scratch,
+    ) -> &'s [f32] {
+        assert!(steps > 0, "GRU requires at least one timestep");
         let hd = self.hidden_dim;
-        let mut h = Matrix::zeros(batch, hd);
-        for x in xs {
-            assert_eq!(x.cols(), self.input_dim, "GRU input dim mismatch");
-            let px = affine_t_quant(x, &self.qwx, self.bx.as_slice());
-            let ph = affine_t_quant(&h, &self.qwh, self.bh.as_slice());
-
-            let mut r_pre = col_block(&px, 0, hd);
-            r_pre.add_assign(&col_block(&ph, 0, hd));
-            let r = r_pre.map(sigmoid);
-
-            let mut z_pre = col_block(&px, hd, hd);
-            z_pre.add_assign(&col_block(&ph, hd, hd));
-            let z = z_pre.map(sigmoid);
-
-            let hn_pre = col_block(&ph, 2 * hd, hd);
-            let mut n_pre = col_block(&px, 2 * hd, hd);
-            n_pre.add_assign(&r.hadamard(&hn_pre));
-            let n = n_pre.map(tanh);
-
-            let mut h_new = z.map(|v| 1.0 - v).hadamard(&n);
-            h_new.add_assign(&z.hadamard(&h));
-            h = h_new;
+        let g3 = 3 * hd;
+        zeroed(&mut s.h, batch * hd);
+        zeroed(&mut s.gates, batch * g3);
+        zeroed(&mut s.ph, batch * g3);
+        for t in 0..steps {
+            affine_rows_quant(
+                |r| x(t, r),
+                &self.qwx,
+                &self.bx,
+                &mut s.codes[0],
+                &mut s.gates,
+            );
+            let h = &s.h;
+            let hr = |r: usize| &h[r * hd..(r + 1) * hd];
+            affine_rows_quant(hr, &self.qwh, &self.bh, &mut s.codes[1], &mut s.ph);
+            gru_cell(&s.gates, &s.ph, &mut s.h, hd);
         }
-        h
+        &s.h
+    }
+}
+
+/// The fused GRU cell pass over every batch row: from the input- and
+/// hidden-side `[r|z|n]` pre-activations `px`/`ph`, `r = σ(px_r + ph_r)`,
+/// `z = σ(px_z + ph_z)`, `n = tanh(px_n + r·ph_n)` and
+/// `h ← (1 − z)·n + z·h`, in place. Each element sees exactly the scalar
+/// operations of [`Gru::forward`]'s matrix form.
+fn gru_cell(px: &[f32], ph: &[f32], h: &mut [f32], hd: usize) {
+    if hd == 0 {
+        return;
+    }
+    let rows = px
+        .chunks_exact(3 * hd)
+        .zip(ph.chunks_exact(3 * hd))
+        .zip(h.chunks_exact_mut(hd));
+    for ((px, ph), h) in rows {
+        for j in 0..hd {
+            let r = sigmoid(px[j] + ph[j]);
+            let z = sigmoid(px[hd + j] + ph[hd + j]);
+            let n = tanh(px[2 * hd + j] + r * ph[2 * hd + j]);
+            h[j] = (1.0 - z) * n + z * h[j];
+        }
     }
 }
 

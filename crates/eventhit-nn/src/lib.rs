@@ -15,7 +15,9 @@
 //! [`quant::InferenceLane`]): `Dense`/`Lstm`/`Gru` snapshot onto
 //! quantized counterparts whose forward passes stream 4x less weight
 //! memory. The exact lane's blocked/unrolled product kernels in
-//! [`matrix`] are bit-identical to their retained naive references.
+//! [`matrix`] are bit-identical to their retained naive references, and
+//! inference runs on k-major weight packs ([`packed`]) whose
+//! allocation-free kernels are bit-identical to both.
 //!
 //! ```
 //! use eventhit_nn::activation::Activation;
@@ -44,6 +46,7 @@ pub mod loss;
 pub mod lstm;
 pub mod matrix;
 pub mod optimizer;
+pub mod packed;
 pub mod quant;
 pub mod schedule;
 pub mod weight_decay;
@@ -56,6 +59,7 @@ pub use init::Init;
 pub use lstm::{Lstm, QuantizedLstm};
 pub use matrix::Matrix;
 pub use optimizer::{Adam, Optimizer, ParamMut, Sgd};
+pub use packed::Scratch;
 pub use quant::{InferenceLane, QuantizedMatrix};
 pub use schedule::LrSchedule;
 pub use weight_decay::WeightDecay;

@@ -5,14 +5,22 @@
 //! gate order `[i | f | g | o]` along the rows. The forget-gate bias is
 //! initialized to 1.0, the standard trick that lets gradients flow through
 //! long sequences early in training.
+//!
+//! Inference ([`Lstm::infer`]) runs on k-major copies of `wx`/`wh` (see
+//! [`crate::packed`]) and fuses the gate activations and the `c`/`h`
+//! update into one pass over reusable [`Scratch`] buffers, so a step
+//! allocates nothing.
 
 use eventhit_rng::Rng;
 
 use crate::activation::{sigmoid, tanh};
 use crate::init::Init;
-use crate::matrix::Matrix;
+use crate::matrix::{gate_row_naive, naive_kernels_forced, Matrix};
 use crate::optimizer::ParamMut;
-use crate::quant::{fused_gate_affine_quant, QuantizedMatrix};
+use crate::packed::{
+    check_sequence, for_each_block, gate_rows, gate_rows_quant, zeroed, PackCache, Packed,
+    PackedQuant, Scratch, StepRows,
+};
 
 /// Per-timestep forward cache needed by BPTT.
 #[derive(Clone)]
@@ -35,6 +43,8 @@ pub struct Lstm {
     wx: Matrix,
     wh: Matrix,
     b: Matrix,
+    /// k-major packs of `[wx, wh]` for the inference kernels.
+    pack: PackCache<[Packed; 2]>,
     dwx: Matrix,
     dwh: Matrix,
     db: Matrix,
@@ -76,6 +86,7 @@ impl Lstm {
             wx,
             wh,
             b,
+            pack: PackCache::default(),
             dwx: Matrix::zeros(4 * hidden_dim, input_dim),
             dwh: Matrix::zeros(4 * hidden_dim, hidden_dim),
             db: Matrix::zeros(1, 4 * hidden_dim),
@@ -131,24 +142,72 @@ impl Lstm {
     }
 
     /// Runs the LSTM without caching. Pure `&self`, so a trained layer
-    /// can be shared across threads for parallel inference; the step
-    /// arithmetic is shared with [`Lstm::forward`], so the two are
-    /// bit-identical.
+    /// can be shared across threads for parallel inference; bit-identical
+    /// to [`Lstm::forward`] (see [`Lstm::infer`]).
     pub fn forward_inference(&self, xs: &[Matrix]) -> Matrix {
-        assert!(!xs.is_empty(), "LSTM requires at least one timestep");
-        let batch = xs[0].rows();
-        let hd = self.hidden_dim;
+        let batch = check_sequence(xs, self.input_dim);
+        let mut s = Scratch::default();
+        self.infer(xs.len(), batch, &|t, r| xs[t].row(r), &mut s);
+        Matrix::from_vec(batch, self.hidden_dim, std::mem::take(&mut s.h))
+    }
 
-        let mut h = Matrix::zeros(batch, hd);
-        let mut c = Matrix::zeros(batch, hd);
-
-        for x in xs {
-            let (_, _, _, o, c_new) = self.step(x, &h, &c, batch);
-            let tanh_c = c_new.map(tanh);
-            h = o.hadamard(&tanh_c);
-            c = c_new;
+    /// Allocation-free inference over `steps` timesteps of `batch` rows,
+    /// `x(t, r)` being row `r` of step `t`; returns the final hidden
+    /// state (`batch x hidden_dim`, row-major) borrowed from `s`.
+    ///
+    /// Each step computes the `[i|f|g|o]` pre-activations with the packed
+    /// gate kernel — or the retained naive row-dot while
+    /// [`set_naive_kernels`](crate::matrix::set_naive_kernels) is on —
+    /// row-blocked across the ambient pool past
+    /// [`PAR_THRESHOLD`](crate::matrix::PAR_THRESHOLD), then runs the
+    /// activations and the `c`/`h` update in one pass. Every path is
+    /// bit-identical to [`Lstm::forward`].
+    ///
+    /// # Panics
+    /// Panics if `steps` is zero or a row is not `input_dim` wide.
+    pub fn infer<'s>(
+        &self,
+        steps: usize,
+        batch: usize,
+        x: &StepRows<'_>,
+        s: &'s mut Scratch,
+    ) -> &'s [f32] {
+        assert!(steps > 0, "LSTM requires at least one timestep");
+        let (d, hd) = (self.input_dim, self.hidden_dim);
+        let gates = 4 * hd;
+        zeroed(&mut s.h, batch * hd);
+        zeroed(&mut s.c, batch * hd);
+        zeroed(&mut s.gates, batch * gates);
+        let bias = self.b.as_slice();
+        let flops = batch * (d + hd) * gates;
+        let pack = (!naive_kernels_forced()).then(|| self.packed());
+        for t in 0..steps {
+            let h = &s.h;
+            for_each_block(&mut s.gates, gates, flops, |row0, out| {
+                let xr = |r: usize| {
+                    let x = x(t, row0 + r);
+                    assert_eq!(x.len(), d, "LSTM input dim mismatch");
+                    x
+                };
+                let hr = |r: usize| &h[(row0 + r) * hd..(row0 + r + 1) * hd];
+                match pack {
+                    Some([wx, wh]) => gate_rows(xr, wx, hr, wh, bias, out),
+                    None => {
+                        for (r, o) in out.chunks_exact_mut(gates).enumerate() {
+                            gate_row_naive(xr(r), &self.wx, hr(r), &self.wh, bias, o);
+                        }
+                    }
+                }
+            });
+            lstm_cell(&s.gates, &mut s.c, &mut s.h, hd);
         }
-        h
+        &s.h
+    }
+
+    /// The k-major inference packs of `[wx, wh]`, built on first use.
+    fn packed(&self) -> &[Packed; 2] {
+        self.pack
+            .get(|| [Packed::pack(&self.wx), Packed::pack(&self.wh)])
     }
 
     /// One timestep of gate arithmetic: returns `(i, f, g, o, c_new)`.
@@ -259,20 +318,22 @@ impl Lstm {
         QuantizedLstm {
             input_dim: self.input_dim,
             hidden_dim: self.hidden_dim,
-            qwx: QuantizedMatrix::quantize(&self.wx),
-            qwh: QuantizedMatrix::quantize(&self.wh),
-            b: self.b.clone(),
+            qwx: PackedQuant::quantize(&self.wx),
+            qwh: PackedQuant::quantize(&self.wh),
+            b: self.b.as_slice().to_vec(),
         }
     }
 
-    /// Frees the BPTT cache and the gradient buffers, leaving an
-    /// inference-only layer: [`Lstm::forward_inference`] is unchanged,
-    /// but a later `backward` panics.
+    /// Frees the BPTT cache and the gradient buffers and builds the
+    /// inference packs, leaving an inference-only layer:
+    /// [`Lstm::forward_inference`] is unchanged, but a later `backward`
+    /// panics.
     pub fn drop_training_state(&mut self) {
         self.cache = Vec::new();
         for g in [&mut self.dwx, &mut self.dwh, &mut self.db] {
             *g = Matrix::zeros(0, 0);
         }
+        self.packed();
     }
 
     /// Zeros the accumulated gradients.
@@ -283,8 +344,9 @@ impl Lstm {
     }
 
     /// Yields `(parameter, gradient)` pairs for the optimizer, in a stable
-    /// order.
+    /// order. Drops the inference packs.
     pub fn params_mut(&mut self) -> Vec<ParamMut<'_>> {
+        self.pack.clear();
         vec![
             ParamMut {
                 value: &mut self.wx,
@@ -304,14 +366,15 @@ impl Lstm {
 
 /// An int8-weight snapshot of an [`Lstm`]: the quantized inference fast
 /// lane. Same gate arithmetic as [`Lstm::forward_inference`], but the
-/// fused gate products run against `i8` weights with f32 accumulation.
+/// fused gate products run against k-major `i8` weights with exact `i32`
+/// accumulation.
 #[derive(Clone)]
 pub struct QuantizedLstm {
     input_dim: usize,
     hidden_dim: usize,
-    qwx: QuantizedMatrix,
-    qwh: QuantizedMatrix,
-    b: Matrix,
+    qwx: PackedQuant,
+    qwh: PackedQuant,
+    b: Vec<f32>,
 }
 
 impl QuantizedLstm {
@@ -326,33 +389,71 @@ impl QuantizedLstm {
     }
 
     /// Quantized inference over a sequence; returns the final hidden
-    /// state. Pure `&self` and sequential, so results are bit-identical
-    /// across worker counts.
+    /// state. Pure `&self`; integer sums are exact, so results are
+    /// bit-identical across worker counts.
     pub fn forward(&self, xs: &[Matrix]) -> Matrix {
-        assert!(!xs.is_empty(), "LSTM requires at least one timestep");
-        let batch = xs[0].rows();
+        let batch = check_sequence(xs, self.input_dim);
+        let mut s = Scratch::default();
+        self.infer(xs.len(), batch, &|t, r| xs[t].row(r), &mut s);
+        Matrix::from_vec(batch, self.hidden_dim, std::mem::take(&mut s.h))
+    }
+
+    /// Allocation-free quantized inference, the int8 form of
+    /// [`Lstm::infer`]: same inputs, same fused cell pass, same row-blocking.
+    ///
+    /// # Panics
+    /// Panics if `steps` is zero or a row is not `input_dim` wide.
+    pub fn infer<'s>(
+        &self,
+        steps: usize,
+        batch: usize,
+        x: &StepRows<'_>,
+        s: &'s mut Scratch,
+    ) -> &'s [f32] {
+        assert!(steps > 0, "LSTM requires at least one timestep");
         let hd = self.hidden_dim;
-
-        let mut h = Matrix::zeros(batch, hd);
-        let mut c = Matrix::zeros(batch, hd);
-
-        for x in xs {
-            assert_eq!(x.cols(), self.input_dim, "LSTM input dim mismatch");
-            assert_eq!(x.rows(), batch, "LSTM batch size changed mid-sequence");
-            let pre = fused_gate_affine_quant(x, &self.qwx, &h, &self.qwh, self.b.as_slice());
-
-            let i = col_block(&pre, 0, hd).map(sigmoid);
-            let f = col_block(&pre, hd, hd).map(sigmoid);
-            let g = col_block(&pre, 2 * hd, hd).map(tanh);
-            let o = col_block(&pre, 3 * hd, hd).map(sigmoid);
-
-            let mut c_new = f.hadamard(&c);
-            c_new.add_assign(&i.hadamard(&g));
-            let tanh_c = c_new.map(tanh);
-            h = o.hadamard(&tanh_c);
-            c = c_new;
+        let gates = 4 * hd;
+        zeroed(&mut s.h, batch * hd);
+        zeroed(&mut s.c, batch * hd);
+        zeroed(&mut s.gates, batch * gates);
+        for t in 0..steps {
+            let h = &s.h;
+            gate_rows_quant(
+                |r| x(t, r),
+                &self.qwx,
+                |r| &h[r * hd..(r + 1) * hd],
+                &self.qwh,
+                &self.b,
+                &mut s.codes,
+                &mut s.gates,
+            );
+            lstm_cell(&s.gates, &mut s.c, &mut s.h, hd);
         }
-        h
+        &s.h
+    }
+}
+
+/// The fused LSTM cell pass over every batch row: from the `[i|f|g|o]`
+/// pre-activations `gates`, `c ← σ(f)·c + σ(i)·tanh(g)` and
+/// `h ← σ(o)·tanh(c)`, in place. Each element sees exactly the scalar
+/// operations of [`Lstm::forward`]'s matrix form.
+fn lstm_cell(gates: &[f32], c: &mut [f32], h: &mut [f32], hd: usize) {
+    if hd == 0 {
+        return;
+    }
+    let rows = gates
+        .chunks_exact(4 * hd)
+        .zip(c.chunks_exact_mut(hd))
+        .zip(h.chunks_exact_mut(hd));
+    for ((pre, c), h) in rows {
+        let (i, rest) = pre.split_at(hd);
+        let (f, rest) = rest.split_at(hd);
+        let (g, o) = rest.split_at(hd);
+        for j in 0..hd {
+            let c_new = sigmoid(f[j]) * c[j] + sigmoid(i[j]) * tanh(g[j]);
+            c[j] = c_new;
+            h[j] = sigmoid(o[j]) * tanh(c_new);
+        }
     }
 }
 

@@ -147,7 +147,7 @@ fn dot_rows8(a_row: &[f32], rhs: &Matrix, out_row: &mut [f32]) {
 /// Naive row kernel for `A * B^T`: one scalar dot product per output
 /// column. Retained as the bit-exact reference for [`dot_rows8`].
 #[inline]
-fn dot_rows_naive(a_row: &[f32], rhs: &Matrix, out_row: &mut [f32]) {
+pub(crate) fn dot_rows_naive(a_row: &[f32], rhs: &Matrix, out_row: &mut [f32]) {
     for (j, o) in out_row.iter_mut().enumerate() {
         let b_row = rhs.row(j);
         let mut acc = 0.0f32;
@@ -236,7 +236,7 @@ fn gate_row8(
 /// Naive fused gate row kernel: the reference scalar form of
 /// [`gate_row8`], one output column at a time.
 #[inline]
-fn gate_row_naive(
+pub(crate) fn gate_row_naive(
     x_row: &[f32],
     wx: &Matrix,
     h_row: &[f32],
@@ -411,7 +411,7 @@ impl Matrix {
     /// `out_rows`-row product across `pool`: ~4 blocks per worker so
     /// stealing can rebalance, and the whole matrix in one block when the
     /// pool is sequential.
-    fn row_block(out_rows: usize, pool: &Pool) -> usize {
+    pub(crate) fn row_block(out_rows: usize, pool: &Pool) -> usize {
         out_rows.div_ceil(pool.workers() * 4).max(1)
     }
 

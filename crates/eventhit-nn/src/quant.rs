@@ -16,10 +16,11 @@
 //! each term a half-step round-off against the other operand's L1 mass.
 //! The repo's conformal layer absorbs exactly this kind of predictor
 //! error — recalibrating the conformal state on quantized-lane scores
-//! restores the coverage guarantee (see `DESIGN.md`). The kernels are
-//! sequential, and the integer accumulation is associativity-exact, so
-//! quantized results are bit-identical across worker counts by
-//! construction. Reduction depths must stay below `2^17` so `i32`
+//! restores the coverage guarantee (see `DESIGN.md`). The integer
+//! accumulation is associativity-exact, so quantized results are
+//! bit-identical across worker counts and accumulation orders by
+//! construction — the serving layers' packed kernels
+//! ([`crate::packed`]) rely on it. Reduction depths must stay below `2^17` so `i32`
 //! accumulators cannot overflow (`127² · 2^17 < 2^31`); model layers are
 //! orders of magnitude narrower.
 
@@ -166,23 +167,41 @@ impl QuantizedMatrix {
     }
 }
 
-/// Quantizes one activation row symmetrically into `buf`, returning its
-/// scale. Same grid as [`QuantizedMatrix::quantize`]: `scale =
-/// max|v| / 127`, saturating round-to-nearest, zero rows get scale `0`.
+/// Quantizes one activation row symmetrically into `buf` (cleared
+/// first), returning its scale. Same grid as [`QuantizedMatrix::quantize`]:
+/// `scale = max|v| / 127`, saturating round-to-nearest, zero rows get
+/// scale `0`. Generic over the code width so the packed kernels can take
+/// the same codes as `i16`.
 #[inline]
-fn quantize_row(row: &[f32], buf: &mut Vec<i8>) -> f32 {
+pub(crate) fn quantize_row<T: From<i8>>(row: &[f32], buf: &mut Vec<T>) -> f32 {
     buf.clear();
+    quantize_into(row, buf)
+}
+
+/// [`quantize_row`] appending to `buf` instead of replacing it.
+pub(crate) fn quantize_into<T: From<i8>>(row: &[f32], buf: &mut Vec<T>) -> f32 {
     let amax = row.iter().fold(0.0f32, |acc, &v| acc.max(v.abs()));
     if amax == 0.0 {
-        buf.extend(std::iter::repeat_n(0i8, row.len()));
+        buf.extend(row.iter().map(|_| T::from(0)));
         return 0.0;
     }
     let inv = 127.0 / amax;
-    buf.extend(
-        row.iter()
-            .map(|&v| (v * inv).round().clamp(-127.0, 127.0) as i8),
-    );
+    buf.extend(row.iter().map(|&v| T::from(round_code(v * inv))));
     amax / 127.0
+}
+
+/// `y.round().clamp(-127.0, 127.0) as i8` without the libm `roundf` call
+/// the SSE2 baseline makes for `round`: clamping first cannot change the
+/// result (rounding is monotone and ±127 are integers), truncation then
+/// splits `y` exactly into an integer and a fraction below 1 in
+/// magnitude, and a fraction of at least one half rounds away from zero.
+/// NaN truncates to 0, as `NaN as i8` does.
+#[inline]
+fn round_code(y: f32) -> i8 {
+    let y = y.clamp(-127.0, 127.0);
+    let t = y as i32;
+    let frac = y - t as f32;
+    (t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)) as i8
 }
 
 /// Exact integer dot of two `i8` rows, accumulated in `i32`. The tight
@@ -290,7 +309,7 @@ pub fn fused_gate_affine_quant(
 mod tests {
     use super::*;
     use eventhit_rng::rngs::StdRng;
-    use eventhit_rng::SeedableRng;
+    use eventhit_rng::{Rng, SeedableRng};
 
     fn sample(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -303,6 +322,37 @@ mod tests {
         assert_eq!("quantized".parse(), Ok(InferenceLane::Quantized));
         assert!("int8".parse::<InferenceLane>().is_err());
         assert_eq!(InferenceLane::Exact.to_string(), "exact");
+    }
+
+    #[test]
+    fn round_code_matches_round_then_clamp() {
+        let mut values = vec![
+            0.0f32,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            126.5,
+            -126.5,
+            127.0,
+            127.49,
+            128.0,
+            -300.0,
+            0.499_999_97,
+            -0.499_999_97,
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let mut rng = StdRng::seed_from_u64(11);
+        values.extend((0..20_000).map(|_| rng.random_range(-140.0f32..140.0)));
+        values.extend((-300..=300).map(|i| i as f32 * 0.5));
+        for y in values {
+            let want = y.round().clamp(-127.0, 127.0) as i8;
+            assert_eq!(round_code(y), want, "y = {y:?}");
+        }
     }
 
     #[test]

@@ -133,6 +133,15 @@ impl WindowBuffer {
         }
     }
 
+    /// Buffered frame `i`, oldest first — a borrowed view that lets a
+    /// scorer read the window without copying it out.
+    ///
+    /// # Panics
+    /// Panics if fewer than `i + 1` frames are buffered.
+    pub fn frame(&self, i: usize) -> &[f32] {
+        &self.frames[i]
+    }
+
     /// Number of frames pushed so far.
     pub fn frames_seen(&self) -> u64 {
         self.pushed
